@@ -25,7 +25,7 @@ rng = np.random.default_rng(7)
 inp = ProjectionInput(3.0 * rng.standard_normal(2000), 900.0)
 cfg = SolverConfig(tol=1e-8, max_iters=100_000)
 
-project_capped_simplex(ProjectionInput(np.zeros(4), 1.0))  # load the compiled kernel
+project_capped_simplex(ProjectionInput(np.zeros(4), 1.0))  # warm-up: imports and first-call costs
 
 t0 = time.perf_counter()
 exact = project_capped_simplex(inp)

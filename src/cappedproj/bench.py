@@ -70,10 +70,10 @@ class BenchPlan:
             )
 
 
-def _solve_timed(method, inp, solver_eps, config):
+def _solve_timed(method, inp, config):
     if method == "exact":
         t0 = time.perf_counter()
-        res = project_capped_simplex(inp, eps=solver_eps)
+        res = project_capped_simplex(inp)
         elapsed = time.perf_counter() - t0
         _, report = certify_result(inp, res)
         return elapsed, report.max_residual, True
@@ -91,21 +91,16 @@ def _solve_timed(method, inp, solver_eps, config):
     return elapsed, report.max_residual, out.converged
 
 
-def run_benchmark(
-    plan: BenchPlan,
-    *,
-    solver_eps: float | None = None,
-    config: SolverConfig | None = None,
-) -> list[BenchRecord]:
+def run_benchmark(plan: BenchPlan, *, config: SolverConfig | None = None) -> list[BenchRecord]:
     """Records for every (size, repetition, method) triple in the plan.
 
     Before any timing, each requested method is run once on a small throwaway
-    instance so one-time costs (compilation, allocator warm-up) do not land
+    instance so one-time costs (imports, allocator warm-up) do not land
     in the first measurement.
     """
     warmup = random_instance(InstanceSpec(D=4, seed=plan.base_seed))
     for method in plan.methods:
-        _solve_timed(method, warmup, solver_eps, config)
+        _solve_timed(method, warmup, config)
 
     records = []
     for d in plan.sizes:
@@ -113,7 +108,7 @@ def run_benchmark(
             seed = plan.base_seed + rep
             inp = random_instance(InstanceSpec(D=d, seed=seed))
             for method in plan.methods:
-                elapsed, residual, converged = _solve_timed(method, inp, solver_eps, config)
+                elapsed, residual, converged = _solve_timed(method, inp, config)
                 records.append(
                     BenchRecord(
                         method=method,

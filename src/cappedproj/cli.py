@@ -8,7 +8,6 @@ unreadable or unwritable files.  Diagnostics are one line on stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -23,15 +22,9 @@ from .projection import ProjectionInput, project_capped_box
 
 DEFAULT_DIGITS = 17
 
-EPS_ENV_VAR = "CAPPED_PROJ_EPS"
-
 
 class FileFormatError(Exception):
     """Input file exists but its contents cannot be parsed as numbers."""
-
-
-class UsageError(Exception):
-    """Invocation problem outside argparse's reach, e.g. a bad env override."""
 
 
 def read_vector(path) -> np.ndarray:
@@ -76,19 +69,6 @@ def format_vector(x, digits: int = DEFAULT_DIGITS) -> str:
     return " ".join(f"{v:.{digits}g}" for v in x)
 
 
-def _env_eps() -> float | None:
-    raw = os.environ.get(EPS_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise UsageError(f"{EPS_ENV_VAR}={raw!r} is not a number") from None
-    if not value > 0.0:
-        raise UsageError(f"{EPS_ENV_VAR} must be positive, got {raw!r}")
-    return value
-
-
 def _int_list(text: str):
     try:
         return tuple(int(tok) for tok in text.split(",") if tok)
@@ -113,7 +93,7 @@ def _method_list(text: str):
 def _cmd_project(args) -> int:
     y = read_vector(args.input)
     inp = ProjectionInput(y=y, s=args.s, t=args.cap)
-    res = project_capped_box(inp, eps=_env_eps())
+    res = project_capped_box(inp)
     if args.output:
         write_vector(args.output, res.x, args.digits)
     else:
@@ -144,10 +124,9 @@ def _cmd_compare(args) -> int:
     y = read_vector(args.input)
     inp = ProjectionInput(y=y, s=args.s)
     config = SolverConfig(tol=args.tol, max_iters=args.max_iters)
-    eps = _env_eps()
 
     t0 = time.perf_counter()
-    exact = project_capped_box(inp, eps=eps)
+    exact = project_capped_box(inp)
     exact_time = time.perf_counter() - t0
 
     rows = []
@@ -188,7 +167,7 @@ def _cmd_bench(args) -> int:
         methods=args.methods,
         base_seed=args.seed,
     )
-    records = run_benchmark(plan, solver_eps=_env_eps())
+    records = run_benchmark(plan)
     write_records(
         args.csv,
         records,
@@ -272,9 +251,6 @@ def cli_dispatch(argv) -> int:
         args.sizes = DEFAULT_SIZES
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

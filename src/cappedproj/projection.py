@@ -3,31 +3,27 @@
 The feasible set is ``{x : sum(x) = s, 0 <= x <= 1}`` (or an upper bound ``t``
 instead of 1).  Sorted ascending, the unique minimizer of ``0.5*||x - y||^2``
 over this set consists of ``a`` zeros, then interior values ``y_k + gamma``,
-then ``D - b`` ones.  The solver scans candidate splits ``(a, b)``, solves
-``gamma`` from the sum constraint for each, and returns the first candidate
-that passes the optimality sign tests; multiplier recovery shows that
-candidate satisfies the full first-order system, so it is the minimizer.
-
-The scan is quadratic in the worst case.  A compiled kernel (numba) is used
-when available; a vectorized numpy scan with identical semantics is the
-fallback and doubles as a cross-check in the tests.
+then ``D - b`` ones.  After one sort the solver finds ``(a, b)`` by
+bisection over the kinks of the piecewise linear sum ``sum(clip(y + gamma,
+0, 1))``, solves ``gamma`` from the sum constraint, and checks the split with
+the optimality sign tests; multiplier recovery shows a split that passes
+them satisfies the full first-order system, so it is the minimizer.  A split
+that fails them raises instead of being returned.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePartitionError, InfeasibleError, InvalidInputError
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
+from .errors import (
+    DegeneratePartitionError,
+    InconsistentCandidateError,
+    InfeasibleError,
+    InvalidInputError,
+)
 
 
 def default_eps(y) -> float:
@@ -99,9 +95,9 @@ class Partition:
 class ProjectionResult:
     """Solution in original index order plus the accepted partition data.
 
-    ``fallback`` is set only when no partition passed the widened optimality
-    tests and the best-effort candidate was returned instead; it marks output
-    whose accuracy should be checked with a certificate.
+    ``fallback`` is always False: a split that fails its sign tests raises
+    ``InconsistentCandidateError`` instead of being returned.  The field is
+    kept so callers that read it keep working.
     """
 
     x: np.ndarray
@@ -129,14 +125,16 @@ def gamma_for_partition(inst: SortedInstance, p: Partition, s: float) -> float:
     """Shift applied to the interior so that the output sums to s.
 
     With a zeros and D - b ones fixed, the sum constraint forces
-    ``gamma = (s + b - D + T_a - T_b) / (b - a)``.
+    ``gamma = (s - (D - b) - sum(y_a..y_b)) / (b - a)``.  The interior is
+    summed directly (pairwise) rather than as a difference of prefix sums,
+    which loses the interior to cancellation next to a large outlier.
     """
     if p.a == p.b:
         raise DegeneratePartitionError(
             f"gamma is undefined for an empty interior (a = b = {p.a})"
         )
-    d = inst.dim
-    return (s + p.b - d + inst.prefix[p.a] - inst.prefix[p.b]) / (p.b - p.a)
+    interior = float(inst.y_sorted[p.a : p.b].sum())
+    return (s - (inst.dim - p.b) - interior) / (p.b - p.a)
 
 
 def partition_is_optimal(inst: SortedInstance, p: Partition, gamma: float, eps: float) -> bool:
@@ -186,126 +184,47 @@ def _degenerate_gamma(ys: np.ndarray, a: int) -> float:
     return 0.5 * ((1.0 - ys[a]) - ys[a - 1])
 
 
-def _scan_numpy(ys, prefix, s, eps):
-    """Partition scan, inner loop vectorized over b.  Same order and float
-    expressions as the compiled kernel, so both return identical results."""
-    d = ys.size
-    for a in range(d + 1):
-        if abs(s - (d - a)) <= eps:
-            if a == 0 or a == d or ys[a] - ys[a - 1] >= 1.0 - eps:
-                return a, a, 0.0, True
-        if a == d:
-            continue
-        bs = np.arange(a + 1, d + 1)
-        g = (s + bs - d + prefix[a] - prefix[a + 1 :]) / (bs - a)
-        ok = ys[a] + g > -eps
-        ok &= ys[a:] + g < 1.0 + eps
-        if a > 0:
-            ok &= ys[a - 1] + g <= eps
-        if d - a > 1:
-            ok[:-1] &= ys[a + 1 :] + g[:-1] >= 1.0 - eps
-        j = int(np.argmax(ok))
-        if ok[j]:
-            return a, a + 1 + j, float(g[j]), True
-    return 0, 0, 0.0, False
+def _kink_search(ys: np.ndarray, prefix: np.ndarray, s: float):
+    """Split (a, b) of the sorted coordinates for the sum target s.
 
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _scan_numba(ys, prefix, s, eps):  # pragma: no cover - exercised via wrapper
-        d = ys.shape[0]
-        for a in range(d + 1):
-            if abs(s - (d - a)) <= eps:
-                if a == 0 or a == d or ys[a] - ys[a - 1] >= 1.0 - eps:
-                    return a, a, 0.0, True
-            t_a = prefix[a]
-            for b in range(a + 1, d + 1):
-                g = (s + b - d + t_a - prefix[b]) / (b - a)
-                if a > 0 and ys[a - 1] + g > eps:
-                    continue
-                if not ys[a] + g > -eps:
-                    continue
-                if not ys[b - 1] + g < 1.0 + eps:
-                    continue
-                if b < d and ys[b] + g < 1.0 - eps:
-                    continue
-                return a, b, g, True
-        return 0, 0, 0.0, False
-
-else:  # pragma: no cover
-    _scan_numba = None
-
-
-def _search(ys, prefix, s, eps, use_numba=None):
-    use = HAVE_NUMBA if use_numba is None else use_numba
-    if use:
-        a, b, g, found = _scan_numba(ys, prefix, s, eps)
-        a, b = int(a), int(b)
-    else:
-        a, b, g, found = _scan_numpy(ys, prefix, s, eps)
-    return (a, b, g) if found else None
-
-
-def _normalize_partition(ys: np.ndarray, a: int, b: int, gamma: float):
-    """Canonical form of an accepted partition.
-
-    The widened lower test lets an interior coordinate sit at exactly 0 (or a
-    hair below), one outer step before the scan would pin it; moving it into
-    the zero block leaves every other value unchanged, so this recovers the
-    partition exact arithmetic would select, including the all-pinned a = b
-    form.  The cap edge needs no such pass: smaller b is tested first, so a
-    coordinate at 1 is already pinned when the scan accepts.
+    ``f(gamma) = sum(clip(y + gamma, 0, 1))`` is nondecreasing and piecewise
+    linear, with kinks at ``-y_k`` (coordinate k leaves 0) and ``1 - y_k``
+    (coordinate k reaches 1).  Coordinate k ends at zero when
+    ``f(-y_k) >= s`` and at the cap when ``f(1 - y_k) <= s``.  Both tests are
+    monotone in k, so each block edge is one bisection over the kinks:
+    ``ceil(log2 D)`` evaluations of f from the prefix sums and two
+    searchsorted calls each.  The split is read off the kink indices, never
+    off float tests of ``y + gamma``.  The one case where f is flat at level
+    s, the all-pinned split (integral s and a unit gap), is tested first.
     """
-    while a < b and ys[a] + gamma <= 0.0:
-        a += 1
+    d = ys.size
+    a = d - int(s)
+    if s == d - a and (a == 0 or a == d or ys[a] - ys[a - 1] >= 1.0):
+        return a, a
+
+    def f(gamma):
+        lo = ys.searchsorted(-gamma, side="right")
+        hi = ys.searchsorted(1.0 - gamma, side="left")
+        return d - hi + prefix[hi] - prefix[lo] + (hi - lo) * gamma
+
+    # first k whose test holds: the tests read False, ..., False, True, ...
+    a = bisect_left(range(d), True, key=lambda k: f(-ys[k]) < s)
+    b = bisect_left(range(d), True, lo=a, key=lambda k: f(1.0 - ys[k]) <= s)
     return a, b
 
 
-def _best_effort_partition(inst: SortedInstance, s: float):
-    """Candidate minimizing the worst optimality-test violation.
-
-    Only reached when rounding defeats the widened tests; scans every
-    partition and returns the least-violating one.
-    """
-    ys, prefix = inst.y_sorted, inst.prefix
-    d = ys.size
-    best = (0, d, (s - prefix[d]) / d)
-    best_viol = np.inf
-    for a in range(d + 1):
-        viol = abs(s - (d - a))
-        if 0 < a < d:
-            viol = max(viol, 0.5 * (1.0 - (ys[a] - ys[a - 1])))
-        if viol < best_viol:
-            best_viol = viol
-            best = (a, a, _degenerate_gamma(ys, a))
-        if a == d:
-            break
-        bs = np.arange(a + 1, d + 1)
-        g = (s + bs - d + prefix[a] - prefix[a + 1 :]) / (bs - a)
-        m = -(ys[a] + g)
-        np.maximum(m, ys[a:] + g - 1.0, out=m)
-        if a > 0:
-            np.maximum(m, ys[a - 1] + g, out=m)
-        if d - a > 1:
-            np.maximum(m[:-1], 1.0 - (ys[a + 1 :] + g[:-1]), out=m[:-1])
-        j = int(np.argmin(m))
-        if m[j] < best_viol:
-            best_viol = float(m[j])
-            best = (a, a + 1 + j, float(g[j]))
-    return best
-
-
-def _assemble(inst: SortedInstance, a: int, b: int, gamma: float, s: float, fallback: bool) -> ProjectionResult:
+def _assemble(inst: SortedInstance, p: Partition, s: float) -> ProjectionResult:
     ys = inst.y_sorted
+    a, b = p.a, p.b
     d = ys.size
     xs = np.empty(d)
     xs[:a] = 0.0
     xs[b:] = 1.0
     if b > a:
+        gamma = gamma_for_partition(inst, p, s)
         xs[a:b] = ys[a:b] + gamma
-        # One re-centering pass: keeps the sum residual at rounding level even
-        # when the prefix sums carry accumulated error at large D.
+        # One re-centering pass: keeps the sum residual at rounding level
+        # after the interior values are rounded at large D.
         delta = (s - float(xs.sum())) / (b - a)
         if delta != 0.0:
             xs[a:b] += delta
@@ -314,49 +233,46 @@ def _assemble(inst: SortedInstance, a: int, b: int, gamma: float, s: float, fall
         gamma = _degenerate_gamma(ys, a)
     x = np.empty(d)
     x[inst.perm] = xs
-    return ProjectionResult(
-        x=x, gamma=float(gamma), partition=Partition(a, b), perm=inst.perm, fallback=fallback
-    )
+    return ProjectionResult(x=x, gamma=float(gamma), partition=p, perm=inst.perm)
 
 
-def project_capped_simplex(inp: ProjectionInput, eps: float | None = None) -> ProjectionResult:
+def project_capped_simplex(inp: ProjectionInput) -> ProjectionResult:
     """Exact projection of inp.y onto {x : sum(x) = inp.s, 0 <= x <= 1}.
 
-    The solution is returned in the original index order.  ``eps`` widens the
-    optimality comparisons (default ``default_eps(y)``); if no partition
-    passes, the tolerance is widened tenfold up to three times before falling
-    back to the least-violating partition, flagged via ``fallback``.
+    The solution is returned in the original index order.  The split found
+    by the kink search is checked once with the sign tests at
+    ``default_eps(y)``; if they fail, ``InconsistentCandidateError`` is raised
+    rather than a wrong point returned.
     """
     if inp.t != 1.0:
         raise InvalidInputError("cap must be 1 here; use project_capped_box for general caps")
     inst = sort_with_permutation(inp.y)
-    tol = default_eps(inp.y) if eps is None else float(eps)
-    for _ in range(4):
-        hit = _search(inst.y_sorted, inst.prefix, inp.s, tol)
-        if hit is not None:
-            a, b, g = hit
-            a, b = _normalize_partition(inst.y_sorted, a, b, g)
-            return _assemble(inst, a, b, g, inp.s, fallback=False)
-        tol *= 10.0
-    a, b, g = _best_effort_partition(inst, inp.s)
-    return _assemble(inst, a, b, g, inp.s, fallback=True)
+    p = Partition(*_kink_search(inst.y_sorted, inst.prefix, inp.s))
+    res = _assemble(inst, p, inp.s)
+    eps = default_eps(inp.y)
+    if p.a == p.b:
+        ok = boundary_case_holds(inst, p.a, inp.s, eps)
+    else:
+        ok = partition_is_optimal(inst, p, res.gamma, eps)
+    if not ok:
+        raise InconsistentCandidateError(
+            f"split (a={p.a}, b={p.b}) with gamma={res.gamma!r} fails the optimality "
+            f"sign tests at eps={eps:.3g}"
+        )
+    return res
 
 
-def project_capped_box(inp: ProjectionInput, eps: float | None = None) -> ProjectionResult:
+def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
     """Projection onto {x : sum(x) = s, 0 <= x <= t} for a general cap t > 0.
 
     Reduces to the unit-cap problem on (y/t, s/t) and rescales: the solution
     and its sum multiplier are both t times the inner ones.
     """
     if inp.t == 1.0:
-        return project_capped_simplex(inp, eps)
+        return project_capped_simplex(inp)
     s_inner = min(max(inp.s / inp.t, 0.0), float(inp.dim))  # clip rounding spill
     inner = ProjectionInput(inp.y / inp.t, s_inner)
-    res = project_capped_simplex(inner, eps)
+    res = project_capped_simplex(inner)
     return ProjectionResult(
-        x=inp.t * res.x,
-        gamma=inp.t * res.gamma,
-        partition=res.partition,
-        perm=res.perm,
-        fallback=res.fallback,
+        x=inp.t * res.x, gamma=inp.t * res.gamma, partition=res.partition, perm=res.perm
     )

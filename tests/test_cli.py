@@ -73,16 +73,6 @@ class TestProject:
         assert cli_dispatch(["project", "--s", "1", "--input", str(path)]) == 4
         assert "pineapple" in capsys.readouterr().err
 
-    def test_eps_override_via_environment(self, vec_file, capsys, monkeypatch):
-        monkeypatch.setenv("CAPPED_PROJ_EPS", "1e-6")
-        assert cli_dispatch(["project", "--s", "2", "--input", vec_file]) == 0
-        assert capsys.readouterr().out == "0.75 0.25 1\n"
-
-    def test_bad_eps_override_exits_2(self, vec_file, capsys, monkeypatch):
-        monkeypatch.setenv("CAPPED_PROJ_EPS", "banana")
-        assert cli_dispatch(["project", "--s", "2", "--input", vec_file]) == 2
-        assert "CAPPED_PROJ_EPS" in capsys.readouterr().err
-
 
 class TestVerify:
     def test_exact_output_verifies(self, vec_file, tmp_path, capsys):

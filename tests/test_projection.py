@@ -3,9 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cappedproj import (
     DegeneratePartitionError,
+    InconsistentCandidateError,
     InfeasibleError,
     InvalidInputError,
     Partition,
@@ -19,7 +22,7 @@ from cappedproj import (
     project_capped_simplex,
     sort_with_permutation,
 )
-from cappedproj.projection import HAVE_NUMBA, _scan_numba, _scan_numpy
+from cappedproj import projection
 
 
 class TestProjectionInput:
@@ -96,6 +99,12 @@ class TestGammaForPartition:
         inst = sort_with_permutation(np.array([-2.0, 0.5, 3.0]))
         g = gamma_for_partition(inst, Partition(1, 2), 1.5)
         assert g == 0.0
+
+    def test_interior_summed_directly_next_to_an_outlier(self):
+        # prefix[4] - prefix[1] rounds to 0 at 1e17; the interior sums to 0.6
+        inst = sort_with_permutation(np.array([-1e17, 0.1, 0.2, 0.3]))
+        g = gamma_for_partition(inst, Partition(1, 4), 1.5)
+        assert abs(g - 0.3) < 1e-15
 
     def test_empty_interior_rejected(self):
         inst = sort_with_permutation(np.array([0.1, 0.9]))
@@ -220,11 +229,6 @@ class TestProjectCappedSimplex:
                 inner = xs[a:b]
                 assert inner.min() >= -1e-9 and inner.max() <= 1.0 + 1e-9
 
-    def test_wide_eps_still_returns_feasible_point(self):
-        y = np.array([0.3, -0.2, 1.5])
-        res = project_capped_simplex(ProjectionInput(y, 2.0), eps=1e-3)
-        assert abs(res.x.sum() - 2.0) <= 1e-12
-
     def test_cap_must_be_one(self):
         with pytest.raises(InvalidInputError):
             project_capped_simplex(ProjectionInput([0.1, 0.2], 0.5, t=2.0))
@@ -234,38 +238,53 @@ class TestProjectCappedSimplex:
         npt.assert_allclose(res.x, [0.25], atol=1e-15)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="compiled kernel unavailable")
-class TestScanParity:
-    """The compiled and the vectorized scans must agree bit for bit."""
+GOLDEN = [
+    # ties: a unit gap with integral s (the all-pinned split), a coordinate
+    # exactly at 0, all coordinates equal, and s = 0 on equal coordinates
+    ([0.0, 5.0], 1.0, [0.0, 1.0]),
+    ([0.0, 0.5, 5.0], 1.5, [0.0, 0.5, 1.0]),
+    ([0.25, 0.25, 0.25, 0.25], 2.0, [0.5, 0.5, 0.5, 0.5]),
+    ([1.0, 1.0, 1.0], 0.0, [0.0, 0.0, 0.0]),
+    # one outlier next to a small interior: the interior must not be lost
+    # to the outlier's magnitude
+    ([1e10, 0.1, 0.2, 0.3], 1.5, [1.0, 1.0 / 15.0, 1.0 / 6.0, 4.0 / 15.0]),
+    ([-1e9, 0.1, 0.2, 0.3], 1.5, [0.0, 0.4, 0.5, 0.6]),
+]
 
-    def test_identical_results_on_random_instances(self):
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            d = int(rng.integers(1, 40))
-            y = np.sort(rng.normal(size=d))
-            prefix = np.zeros(d + 1)
-            prefix[1:] = np.cumsum(y)
-            s = float(rng.uniform(0.0, d))
-            eps = 1e-9 * max(1.0, float(np.max(np.abs(y))))
-            got = _scan_numba(y, prefix, s, eps)
-            want = _scan_numpy(y, prefix, s, eps)
-            assert (int(got[0]), int(got[1])) == (want[0], want[1])
-            assert got[2] == want[2] and bool(got[3]) == want[3]
 
-    def test_identical_on_tie_instances(self):
-        cases = [
-            (np.array([0.0, 5.0]), 1.0),
-            (np.array([0.0, 0.5, 5.0]), 1.5),
-            (np.array([0.25, 0.25, 0.25, 0.25]), 2.0),
-            (np.array([1.0, 1.0, 1.0]), 0.0),
-        ]
-        for y, s in cases:
-            y = np.sort(y)
-            prefix = np.zeros(y.size + 1)
-            prefix[1:] = np.cumsum(y)
-            got = _scan_numba(y, prefix, s, 1e-9)
-            want = _scan_numpy(y, prefix, s, 1e-9)
-            assert (int(got[0]), int(got[1]), got[2], bool(got[3])) == want
+@pytest.mark.parametrize("y, s, want", GOLDEN)
+def test_golden_instances(y, s, want):
+    res = project_capped_simplex(ProjectionInput(y, s))
+    npt.assert_allclose(res.x, want, rtol=0.0, atol=1e-12)
+    npt.assert_allclose(enumerate_oracle(y, s), want, rtol=0.0, atol=1e-12)
+
+
+_grid = st.integers(-16, 16).map(lambda k: k / 8.0)
+_wide = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _instances(draw):
+    d = draw(st.integers(1, 8))
+    y = draw(st.lists(draw(st.sampled_from([_grid, _wide])), min_size=d, max_size=d))
+    s = draw(st.one_of(st.integers(0, d).map(float), st.floats(0.0, float(d))))
+    return np.array(y), s
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_instances())
+def test_matches_oracle_on_ties_and_wide_values(inst):
+    y, s = inst
+    res = project_capped_simplex(ProjectionInput(y, s))
+    gap = float(np.max(np.abs(res.x - enumerate_oracle(y, s))))
+    assert gap <= 1e-9 * max(1.0, float(np.max(np.abs(y))))
+
+
+def test_wrong_split_raises(monkeypatch):
+    # (0, 3) puts -2 in the interior although the projection pins it at 0
+    monkeypatch.setattr(projection, "_kink_search", lambda ys, prefix, s: (0, 3))
+    with pytest.raises(InconsistentCandidateError):
+        project_capped_simplex(ProjectionInput([-2.0, 0.5, 3.0], 1.5))
 
 
 class TestProjectCappedBox:
