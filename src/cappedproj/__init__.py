@@ -41,7 +41,6 @@ from .kkt import (
     KktReport,
     certify,
     certify_result,
-    feasibility_check,
     kkt_residuals,
     recover_multipliers,
 )
@@ -56,11 +55,6 @@ from .projection import (
     Partition,
     ProjectionInput,
     ProjectionResult,
-    SortedInstance,
-    boundary_case_holds,
-    default_eps,
-    gamma_for_partition,
-    partition_is_optimal,
     project_capped_box,
     project_capped_simplex,
     sort_with_permutation,
@@ -92,19 +86,13 @@ __all__ = [
     "ProjectionInput",
     "ProjectionResult",
     "SolverConfig",
-    "SortedInstance",
     "admm_project",
-    "boundary_case_holds",
     "certify",
     "certify_result",
     "clamp_upper",
-    "default_eps",
     "dykstra_project",
     "enumerate_oracle",
-    "feasibility_check",
-    "gamma_for_partition",
     "kkt_residuals",
-    "partition_is_optimal",
     "project_capped_box",
     "project_capped_simplex",
     "project_simplex",

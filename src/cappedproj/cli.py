@@ -13,11 +13,11 @@ import time
 
 import numpy as np
 
-from .baselines import SolverConfig, admm_project, dykstra_project
-from .bench import BenchPlan, run_benchmark, summarize, write_records
-from .errors import CappedProjError, InvalidInputError
-from .kkt import DEFAULT_TOL, certify, certify_result
-from .oracle import GENERATOR_ID, InstanceSpec, enumerate_oracle, random_instance
+from .baselines import SolverConfig
+from .bench import DEFAULT_SIZES, METHODS, BenchPlan, run_benchmark, summarize, write_records
+from .errors import CappedProjError
+from .kkt import DEFAULT_TOL, certify
+from .oracle import GENERATOR_ID, InstanceSpec, random_instance
 from .projection import ProjectionInput, project_capped_box
 
 DEFAULT_DIGITS = 17
@@ -76,9 +76,13 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _method_list(text: str):
-    from .bench import METHODS
+def _digits(text: str):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"digits must be an integer >= 0, got {text!r}")
+    return int(text)
 
+
+def _method_list(text: str):
     methods = tuple(tok for tok in text.split(",") if tok)
     if not methods:
         raise argparse.ArgumentTypeError("expected a comma-separated list of methods")
@@ -125,32 +129,15 @@ def _cmd_compare(args) -> int:
     inp = ProjectionInput(y=y, s=args.s)
     config = SolverConfig(tol=args.tol, max_iters=args.max_iters)
 
-    t0 = time.perf_counter()
-    exact = project_capped_box(inp)
-    exact_time = time.perf_counter() - t0
+    reference = project_capped_box(inp).x
 
     rows = []
     for method in args.methods:
-        if method == "exact":
-            _, report = certify_result(inp, exact)
-            rows.append((method, 1, True, exact_time, report.max_residual, 0.0))
-        elif method in ("dykstra", "admm"):
-            solver = dykstra_project if method == "dykstra" else admm_project
-            t0 = time.perf_counter()
-            out = solver(inp, config)
-            elapsed = time.perf_counter() - t0
-            _, report = certify(inp, out.x)
-            diff = float(np.max(np.abs(out.x - exact.x)))
-            rows.append((method, out.iterations, out.converged, elapsed, report.max_residual, diff))
-        elif method == "oracle":
-            t0 = time.perf_counter()
-            x = enumerate_oracle(inp.y, inp.s)
-            elapsed = time.perf_counter() - t0
-            _, report = certify(inp, x)
-            diff = float(np.max(np.abs(x - exact.x)))
-            rows.append((method, 1, True, elapsed, report.max_residual, diff))
-        else:  # pragma: no cover - argparse validates the names
-            raise InvalidInputError(f"unknown method {method!r}")
+        t0 = time.perf_counter()
+        x, iters, converged, certify_step = METHODS[method](inp, config)
+        elapsed = time.perf_counter() - t0
+        diff = float(np.max(np.abs(x - reference)))
+        rows.append((method, iters, converged, elapsed, certify_step().max_residual, diff))
 
     print(f"{'method':<8} {'iters':>8} {'converged':>9} {'seconds':>12} "
           f"{'max_kkt_residual':>17} {'max_diff_vs_exact':>18}")
@@ -168,11 +155,14 @@ def _cmd_bench(args) -> int:
         base_seed=args.seed,
     )
     records = run_benchmark(plan)
-    write_records(
-        args.csv,
-        records,
-        metadata={"generator": GENERATOR_ID, "base_seed": plan.base_seed},
-    )
+    try:
+        write_records(
+            args.csv,
+            records,
+            metadata={"generator": GENERATOR_ID, "base_seed": plan.base_seed},
+        )
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {args.csv}: {exc}") from exc
     print(f"{'method':<8} {'D':>8} {'runs':>5} {'mean_seconds':>13} {'max_kkt_residual':>17}")
     for (method, d), stats in summarize(records).items():
         print(f"{method:<8} {d:>8} {stats['runs']:>5} {stats['mean_time']:>13.6f} "
@@ -202,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=float, default=1.0, help="upper bound per coordinate")
     p.add_argument("--input", required=True, help="file with the vector to project")
     p.add_argument("--output", help="write the projection here instead of stdout")
-    p.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+    p.add_argument("--digits", type=_digits, default=DEFAULT_DIGITS,
                    help="significant digits to print")
     p.set_defaults(func=_cmd_project)
 
@@ -216,16 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run several methods on one instance")
     p.add_argument("--s", type=float, required=True, help="sum target")
     p.add_argument("--input", required=True, help="file with the vector to project")
-    p.add_argument("--methods", type=_method_list, default=("exact", "dykstra", "admm"))
+    p.add_argument("--methods", type=_method_list, default="exact,dykstra,admm")
     p.add_argument("--tol", type=float, default=1e-8, help="iterative stopping tolerance")
     p.add_argument("--max-iters", type=int, default=100_000)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("bench", help="time methods over a grid of sizes, write CSV")
-    p.add_argument("--sizes", type=_int_list, default=None,
+    p.add_argument("--sizes", type=_int_list, default=DEFAULT_SIZES,
                    help="comma-separated dimensions (default: built-in grid)")
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--methods", type=_method_list, default=("exact",))
+    p.add_argument("--methods", type=_method_list, default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_bench)
@@ -245,10 +235,6 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "sizes", "missing") is None:
-        from .bench import DEFAULT_SIZES
-
-        args.sizes = DEFAULT_SIZES
     try:
         return args.func(args)
     except FileFormatError as exc:

@@ -1,21 +1,22 @@
 """Brute-force reference solver and reproducible random instances.
 
-The reference solver shares no code with the fast path: it enumerates all
-3^D ways to pin each coordinate at 0, leave it interior, or pin it at 1,
-solves the shift gamma from the sum constraint for each labeling, and keeps
-the one whose optimality margins all hold.  Exactly one labeling passes (up
-to ties within tolerance), and its assembled vector is the projection.
+The reference solver shares no solving code with the fast path, only the
+input checks of ``ProjectionInput`` and the tolerance ``default_eps``.  It
+enumerates all 3^D ways to pin each coordinate at 0, leave it interior, or
+pin it at 1, solves the shift gamma from the sum constraint for each
+labeling, and keeps the one whose optimality margins all hold.  Exactly one
+labeling passes (up to ties within tolerance), and its assembled vector is
+the projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, InfeasibleError, InvalidInputError
-from .projection import ProjectionInput
+from .errors import CapacityError, InvalidInputError
+from .projection import ProjectionInput, default_eps
 
 ORACLE_MAX_DIM = 14
 
@@ -53,23 +54,12 @@ def random_instance(spec: InstanceSpec) -> ProjectionInput:
     return ProjectionInput(y=y, s=s)
 
 
-@lru_cache(maxsize=None)
-def _label_table(d: int) -> np.ndarray:
-    codes = np.arange(3**d)
-    table = np.empty((codes.size, d), dtype=np.int8)
-    for j in range(d):
-        table[:, j] = (codes // 3**j) % 3
-    table.flags.writeable = False
-    return table
-
-
 def _labels_chunk(lo: int, hi: int, d: int) -> np.ndarray:
-    if 3**d <= _CHUNK:
-        return _label_table(d)[lo:hi]
-    codes = np.arange(lo, hi)
+    # base-3 digits of the codes lo..hi-1, least significant first
+    codes = np.arange(lo, hi, dtype=np.int32)
     out = np.empty((hi - lo, d), dtype=np.int8)
     for j in range(d):
-        out[:, j] = (codes // 3**j) % 3
+        codes, out[:, j] = np.divmod(codes, 3)
     return out
 
 
@@ -145,22 +135,12 @@ def enumerate_oracle(y, s: float, tol: float | None = None) -> np.ndarray:
     Exponential in D and refused above ORACLE_MAX_DIM; intended as an
     independent reference for testing the fast solver, not for use at scale.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 1:
-        raise InvalidInputError("y must be a one-dimensional vector with D >= 1")
-    if not np.isfinite(y).all():
-        raise InvalidInputError("y contains non-finite entries")
-    if y.size > ORACLE_MAX_DIM:
+    inp = ProjectionInput(y=y, s=s)
+    if inp.dim > ORACLE_MAX_DIM:
         raise CapacityError(
-            f"enumeration needs 3^D labelings; D={y.size} exceeds the limit {ORACLE_MAX_DIM}"
-        )
-    s = float(s)
-    if not np.isfinite(s) or s < 0.0 or s > y.size:
-        raise InfeasibleError(
-            f"sum target s={s} is infeasible: the set {{sum(x)={s}, 0<=x<=1}} "
-            f"is empty for D={y.size}"
+            f"enumeration needs 3^D labelings; D={inp.dim} exceeds the limit {ORACLE_MAX_DIM}"
         )
     if tol is None:
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(y))))
-    x, _, _ = _enumerate_labeled(y, s, tol)
+        tol = default_eps(inp.y)
+    x, _, _ = _enumerate_labeled(inp.y, inp.s, tol)
     return x

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cappedproj import read_records
+from cappedproj import METHODS, read_records
 from cappedproj.cli import cli_dispatch, format_vector, read_vector, write_vector
 
 
@@ -44,6 +44,13 @@ class TestProject:
     def test_digits_flag(self, vec_file, capsys):
         assert cli_dispatch(["project", "--s", "2", "--input", vec_file, "--digits", "2"]) == 0
         assert capsys.readouterr().out == "0.75 0.25 1\n"
+
+    def test_negative_digits_exits_2(self, vec_file, capsys):
+        code = cli_dispatch(["project", "--s", "2", "--input", vec_file, "--digits", "-1"])
+        assert code == 2
+        assert "digits must be an integer >= 0" in capsys.readouterr().err
+        assert cli_dispatch(["project", "--s", "2", "--input", vec_file, "--digits", "0"]) == 0
+        assert capsys.readouterr().out == "0.8 0.2 1\n"
 
     def test_infeasible_target_exits_3(self, vec_file, capsys):
         assert cli_dispatch(["project", "--s", "-1", "--input", vec_file]) == 3
@@ -108,11 +115,11 @@ class TestVerify:
 class TestCompare:
     def test_all_methods_run(self, vec_file, capsys):
         code = cli_dispatch(
-            ["compare", "--s", "2", "--input", vec_file, "--methods", "exact,dykstra,admm"]
+            ["compare", "--s", "2", "--input", vec_file, "--methods", ",".join(METHODS)]
         )
         out = capsys.readouterr().out
         assert code == 0
-        for token in ("exact", "dykstra", "admm", "max_diff_vs_exact"):
+        for token in (*METHODS, "max_diff_vs_exact"):
             assert token in out
 
     def test_unknown_method_exits_2(self, vec_file, capsys):
@@ -153,6 +160,13 @@ class TestBench:
         )
         capsys.readouterr()
         assert code == 3
+
+    def test_unwritable_csv_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code = cli_dispatch(["bench", "--sizes", "6", "--reps", "1", "--csv", str(path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 class TestGen:

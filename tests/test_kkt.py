@@ -14,13 +14,13 @@ from cappedproj import (
     ProjectionInput,
     certify,
     certify_result,
-    feasibility_check,
     kkt_residuals,
     project_capped_box,
     project_capped_simplex,
     random_instance,
     recover_multipliers,
 )
+from cappedproj.kkt import feasibility_check
 
 
 class TestRecoverMultipliers:

@@ -13,16 +13,18 @@ from cappedproj import (
     InvalidInputError,
     Partition,
     ProjectionInput,
-    boundary_case_holds,
-    default_eps,
     enumerate_oracle,
-    gamma_for_partition,
-    partition_is_optimal,
     project_capped_box,
     project_capped_simplex,
     sort_with_permutation,
 )
 from cappedproj import projection
+from cappedproj.projection import (
+    boundary_case_holds,
+    default_eps,
+    gamma_for_partition,
+    partition_is_optimal,
+)
 
 
 class TestProjectionInput:

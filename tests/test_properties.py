@@ -12,10 +12,10 @@ from cappedproj import (
     ProjectionInput,
     certify_result,
     enumerate_oracle,
-    feasibility_check,
     project_capped_simplex,
     project_simplex,
 )
+from cappedproj.kkt import feasibility_check
 
 
 def _random_case(rng, max_d=50):
