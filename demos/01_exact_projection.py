@@ -23,9 +23,11 @@ print("shift gamma :", res.gamma)
 
 # The partition is reported against the sorted order: 'a' coordinates pinned
 # at 0, then the interior, then ones.  Here nothing is pinned low, the two
-# smallest entries move by gamma, and the largest hits the cap.
+# smallest entries move by gamma, and the largest hits the cap.  The masks
+# at_zero and at_cap mark the same blocks in the input order.
 a, b = res.partition.a, res.partition.b
 print(f"partition   : {a} zeros | {b - a} interior | {inp.dim - b} ones")
+print("at_cap mask :", res.at_cap)
 
 # Enumeration over all 3^D pin/interior labelings gives an independent answer.
 ref = enumerate_oracle(y, s)

@@ -36,7 +36,9 @@ def _iterative(solver):
 
 
 def _oracle(inp, config):
-    x = enumerate_oracle(inp.y, inp.s)
+    # the oracle solves the unit cap; rescale as project_capped_box does
+    t = inp.t
+    x = t * enumerate_oracle(inp.y / t, min(inp.s / t, float(inp.dim)))
     return x, 1, True, lambda: certify(inp, x)[1]
 
 

@@ -108,7 +108,7 @@ def _cmd_project(args) -> int:
 def _cmd_verify(args) -> int:
     x = read_vector(args.input)
     y = read_vector(args.against)
-    inp = ProjectionInput(y=y, s=args.s)
+    inp = ProjectionInput(y=y, s=args.s, t=args.cap)
     _, report = certify(inp, x, tol=args.tol)
     for name in (
         "stationarity_residual",
@@ -126,7 +126,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare(args) -> int:
     y = read_vector(args.input)
-    inp = ProjectionInput(y=y, s=args.s)
+    inp = ProjectionInput(y=y, s=args.s, t=args.cap)
     config = SolverConfig(tol=args.tol, max_iters=args.max_iters)
 
     reference = project_capped_box(inp).x
@@ -154,8 +154,10 @@ def _cmd_bench(args) -> int:
         methods=args.methods,
         base_seed=args.seed,
     )
-    records = run_benchmark(plan)
     try:
+        # fail on a bad path before the grid runs; mode "a" leaves a file as it is
+        open(args.csv, "a").close()
+        records = run_benchmark(plan)
         write_records(
             args.csv,
             records,
@@ -198,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a candidate solution's optimality residuals")
     p.add_argument("--s", type=float, required=True, help="sum target")
+    p.add_argument("--cap", type=float, default=1.0, help="upper bound per coordinate")
     p.add_argument("--input", required=True, help="file with the candidate solution x")
     p.add_argument("--against", required=True, help="file with the original vector y")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
@@ -205,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run several methods on one instance")
     p.add_argument("--s", type=float, required=True, help="sum target")
+    p.add_argument("--cap", type=float, default=1.0, help="upper bound per coordinate")
     p.add_argument("--input", required=True, help="file with the vector to project")
     p.add_argument("--methods", type=_method_list, default="exact,dykstra,admm")
     p.add_argument("--tol", type=float, default=1e-8, help="iterative stopping tolerance")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentCandidateError, InvalidInputError
-from .projection import Partition, ProjectionInput, ProjectionResult
+from .projection import ProjectionInput, ProjectionResult
 
 DEFAULT_TOL = 1e-8
 
@@ -75,16 +75,17 @@ def recover_multipliers(
     y,
     x,
     gamma: float,
-    partition: Partition | None = None,
+    blocks: tuple | None = None,
     *,
     cap: float = 1.0,
     ctol: float = DEFAULT_CLASSIFY_TOL,
 ) -> KktCertificate:
     """Bound multipliers forced by stationarity for a candidate (x, gamma).
 
-    With a partition, y and x must be in sorted order and the segments are
-    taken as given after a consistency check; without one, coordinates within
-    ctol of a bound are classified as pinned there.  Entries pinned at 0 get
+    ``blocks`` is a pair ``(at_zero, at_cap)`` of boolean masks in the order
+    of y: the coordinates claimed pinned at 0 and at cap.  They are taken as
+    given after a consistency check; without them, coordinates within ctol of
+    a bound are classified as pinned there.  Entries pinned at 0 get
     alpha_i = -(y_i + gamma); entries pinned at cap get
     beta_i = y_i + gamma - cap.  The recovered values may be negative, which
     the residual check will expose; recovery itself never hides a violation.
@@ -93,34 +94,37 @@ def recover_multipliers(
     x = np.asarray(x, dtype=np.float64)
     if y.shape != x.shape or y.ndim != 1:
         raise InvalidInputError("y and x must be one-dimensional vectors of equal length")
-    d = y.size
-    if partition is not None:
-        a, b = partition.a, partition.b
-        if b > d:
-            raise InvalidInputError(f"partition ({a}, {b}) exceeds the dimension {d}")
-        zero = np.zeros(d, dtype=bool)
-        one = np.zeros(d, dtype=bool)
-        zero[:a] = True
-        one[b:] = True
-        if np.any(np.abs(x[:a]) > ctol):
+    if blocks is not None:
+        zero, one = (np.asarray(m, dtype=bool) for m in blocks)
+        if zero.shape != y.shape or one.shape != y.shape:
+            raise InvalidInputError(f"block masks must have the dimension {y.size}")
+        if (zero & one).any():
+            raise InconsistentCandidateError("a coordinate is claimed by both pinned blocks")
+        if (np.abs(x[zero]) > ctol).any():
             raise InconsistentCandidateError(
-                "candidate has nonzero entries in its claimed zero segment"
+                "candidate has nonzero entries in its claimed zero block"
             )
-        if np.any(np.abs(x[b:] - cap) > ctol):
+        if (np.abs(x[one] - cap) > ctol).any():
             raise InconsistentCandidateError(
-                "candidate is off the cap in its claimed pinned segment"
+                "candidate is off the cap in its claimed pinned block"
             )
-        interior = x[a:b]
-        if interior.size and (interior.min() < -ctol or interior.max() > cap + ctol):
+        # the blocks sit within ctol of 0 and cap by now, so only an interior
+        # entry can leave [-ctol, cap + ctol]
+        if x.size and (x.min() < -ctol or x.max() > cap + ctol):
             raise InconsistentCandidateError(
-                "candidate leaves [0, cap] in its claimed interior segment"
+                "candidate leaves [0, cap] in its claimed interior"
             )
     else:
         zero = x <= ctol
         one = (x >= cap - ctol) & ~zero
+    # products with the masks rather than np.where, whose per-entry branch
+    # is slow on masks in input order; in place, since each fresh array of
+    # this size costs page faults
     shifted = y + gamma
-    alpha = np.where(zero, -shifted, 0.0)
-    beta = np.where(one, shifted - cap, 0.0)
+    beta = shifted - cap
+    beta *= one
+    alpha = np.negative(shifted, out=shifted)
+    alpha *= zero
     return KktCertificate(alpha=alpha, beta=beta, gamma=float(gamma))
 
 
@@ -206,18 +210,19 @@ def certify_result(
 ) -> tuple[KktCertificate, KktReport]:
     """Certificate for the exact solver's own output.
 
-    Uses the partition the solver reports instead of re-classifying
-    coordinates, so interior values that happen to sit near a bound are not
-    misread as pinned.
+    Uses the blocks the solver reports, ``res.at_zero`` and ``res.at_cap``,
+    instead of re-classifying coordinates, so interior values that happen to
+    sit near a bound are not misread as pinned.  Their sizes must match the
+    reported partition: ``a`` zeros and ``D - b`` at the cap.
     """
-    perm = res.perm
-    ys = inp.y[perm]
-    xs = res.x[perm]
-    cert_sorted = recover_multipliers(ys, xs, res.gamma, res.partition, cap=inp.t)
-    alpha = np.empty_like(cert_sorted.alpha)
-    beta = np.empty_like(cert_sorted.beta)
-    alpha[perm] = cert_sorted.alpha
-    beta[perm] = cert_sorted.beta
-    cert = KktCertificate(alpha=alpha, beta=beta, gamma=cert_sorted.gamma)
+    p = res.partition
+    n_zero = np.count_nonzero(res.at_zero)
+    n_cap = np.count_nonzero(res.at_cap)
+    if n_zero != p.a or n_cap != inp.dim - p.b:
+        raise InconsistentCandidateError(
+            f"blocks of sizes {n_zero} (zero) and {n_cap} (cap) do not match the "
+            f"partition (a={p.a}, b={p.b}) at D={inp.dim}"
+        )
+    cert = recover_multipliers(inp.y, res.x, res.gamma, (res.at_zero, res.at_cap), cap=inp.t)
     report = kkt_residuals(inp, res.x, cert, tol)
     return cert, report

@@ -3,12 +3,14 @@
 The feasible set is ``{x : sum(x) = s, 0 <= x <= 1}`` (or an upper bound ``t``
 instead of 1).  Sorted ascending, the unique minimizer of ``0.5*||x - y||^2``
 over this set consists of ``a`` zeros, then interior values ``y_k + gamma``,
-then ``D - b`` ones.  After one sort the solver finds ``(a, b)`` by
-bisection over the kinks of the piecewise linear sum ``sum(clip(y + gamma,
+then ``D - b`` ones.  After one sort of the values the solver finds ``(a, b)``
+by bisection over the kinks of the piecewise linear sum ``sum(clip(y + gamma,
 0, 1))``, solves ``gamma`` from the sum constraint, and checks the split with
 the optimality sign tests; multiplier recovery shows a split that passes
 them satisfies the full first-order system, so it is the minimizer.  A split
-that fails them raises instead of being returned.
+that fails them raises instead of being returned.  The answer is built in
+the input order directly: a split never cuts a group of equal values, so
+each block is an exact comparison of y against one sorted value.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
 
 def default_eps(y) -> float:
     """Comparison tolerance for the optimality tests, scaled to the data."""
-    return 1e-9 * max(1.0, float(np.max(np.abs(y))))
+    return 1e-9 * max(1.0, float(np.abs(y).max()))
 
 
 @dataclass
@@ -95,16 +97,26 @@ class Partition:
 class ProjectionResult:
     """Solution in original index order plus the accepted partition data.
 
-    ``fallback`` is always False: a split that fails its sign tests raises
-    ``InconsistentCandidateError`` instead of being returned.  The field is
-    kept so callers that read it keep working.
+    ``at_zero`` and ``at_cap`` are boolean masks in the input order: the
+    ``a`` coordinates pinned at 0 and the ``D - b`` pinned at the cap, where
+    ``x`` is exactly 0 and exactly the cap.  ``fallback`` is always False: a
+    split that fails its sign tests raises ``InconsistentCandidateError``
+    instead of being returned.  The field is kept so callers that read it
+    keep working.
     """
 
     x: np.ndarray
     gamma: float
     partition: Partition
-    perm: np.ndarray
+    at_zero: np.ndarray
+    at_cap: np.ndarray
     fallback: bool = False
+
+
+def _prefix_sums(ys: np.ndarray) -> np.ndarray:
+    prefix = np.zeros(ys.size + 1)
+    np.cumsum(ys, out=prefix[1:])
+    return prefix
 
 
 def sort_with_permutation(y) -> SortedInstance:
@@ -116,36 +128,34 @@ def sort_with_permutation(y) -> SortedInstance:
         raise InvalidInputError("y contains non-finite entries")
     perm = np.argsort(y, kind="stable")
     y_sorted = np.ascontiguousarray(y[perm])
-    prefix = np.zeros(y.size + 1)
-    np.cumsum(y_sorted, out=prefix[1:])
-    return SortedInstance(y_sorted=y_sorted, perm=perm, prefix=prefix)
+    return SortedInstance(y_sorted=y_sorted, perm=perm, prefix=_prefix_sums(y_sorted))
 
 
-def gamma_for_partition(inst: SortedInstance, p: Partition, s: float) -> float:
+def gamma_for_partition(ys: np.ndarray, p: Partition, s: float) -> float:
     """Shift applied to the interior so that the output sums to s.
 
-    With a zeros and D - b ones fixed, the sum constraint forces
-    ``gamma = (s - (D - b) - sum(y_a..y_b)) / (b - a)``.  The interior is
-    summed directly (pairwise) rather than as a difference of prefix sums,
-    which loses the interior to cancellation next to a large outlier.
+    ``ys`` is y sorted ascending.  With a zeros and D - b ones fixed, the sum
+    constraint forces ``gamma = (s - (D - b) - sum(y_a..y_b)) / (b - a)``.
+    The interior is summed directly (pairwise) rather than as a difference
+    of prefix sums, which loses the interior to cancellation next to a large
+    outlier.
     """
     if p.a == p.b:
         raise DegeneratePartitionError(
             f"gamma is undefined for an empty interior (a = b = {p.a})"
         )
-    interior = float(inst.y_sorted[p.a : p.b].sum())
-    return (s - (inst.dim - p.b) - interior) / (p.b - p.a)
+    interior = float(ys[p.a : p.b].sum())
+    return (s - (ys.size - p.b) - interior) / (p.b - p.a)
 
 
-def partition_is_optimal(inst: SortedInstance, p: Partition, gamma: float, eps: float) -> bool:
+def partition_is_optimal(ys: np.ndarray, p: Partition, gamma: float, eps: float) -> bool:
     """Sign tests certifying that (a, b, gamma) assembles the minimizer.
 
-    Requires ``y_a + gamma <= 0 < y_{a+1} + gamma`` and
-    ``y_b + gamma < 1 <= y_{b+1} + gamma`` (1-based, sorted), each widened by
-    eps; comparisons against the virtual entries y_0 = -inf and
-    y_{D+1} = +inf are skipped.  Assumes 0 <= a < b <= D.
+    ``ys`` is y sorted ascending.  Requires ``y_a + gamma <= 0 < y_{a+1} +
+    gamma`` and ``y_b + gamma < 1 <= y_{b+1} + gamma`` (1-based, sorted),
+    each widened by eps; comparisons against the virtual entries y_0 = -inf
+    and y_{D+1} = +inf are skipped.  Assumes 0 <= a < b <= D.
     """
-    ys = inst.y_sorted
     d = ys.size
     a, b = p.a, p.b
     if a > 0 and ys[a - 1] + gamma > eps:
@@ -159,17 +169,18 @@ def partition_is_optimal(inst: SortedInstance, p: Partition, gamma: float, eps: 
     return True
 
 
-def boundary_case_holds(inst: SortedInstance, a: int, s: float, eps: float) -> bool:
+def boundary_case_holds(ys: np.ndarray, a: int, s: float, eps: float) -> bool:
     """Whether the all-pinned solution (a zeros, D - a ones) is optimal.
 
-    Needs s = D - a and a unit gap y_{a+1} - y_a >= 1; the gap test is
-    vacuous at a = 0 and a = D where one neighbor is virtual.
+    ``ys`` is y sorted ascending.  Needs s = D - a and a unit gap
+    y_{a+1} - y_a >= 1; the gap test is vacuous at a = 0 and a = D where one
+    neighbor is virtual.
     """
-    d = inst.dim
+    d = ys.size
     if abs(s - (d - a)) > eps:
         return False
     if 0 < a < d:
-        return inst.y_sorted[a] - inst.y_sorted[a - 1] >= 1.0 - eps
+        return ys[a] - ys[a - 1] >= 1.0 - eps
     return True
 
 
@@ -213,27 +224,34 @@ def _kink_search(ys: np.ndarray, prefix: np.ndarray, s: float):
     return a, b
 
 
-def _assemble(inst: SortedInstance, p: Partition, s: float) -> ProjectionResult:
-    ys = inst.y_sorted
+def _assemble(y: np.ndarray, ys: np.ndarray, p: Partition, s: float) -> ProjectionResult:
+    # The kink tests read only ys[k], so a and b each start a group of equal
+    # values (or equal D): the blocks are exact comparisons against them.
+    d = y.size
     a, b = p.a, p.b
-    d = ys.size
-    xs = np.empty(d)
-    xs[:a] = 0.0
-    xs[b:] = 1.0
+    at_zero = y < ys[a] if a < d else np.ones(d, dtype=bool)
+    at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
     if b > a:
-        gamma = gamma_for_partition(inst, p, s)
-        xs[a:b] = ys[a:b] + gamma
+        gamma = gamma_for_partition(ys, p, s)
+        free = ~(at_zero | at_cap)
+        # x = y + gamma inside, 0 and 1 on the blocks, by arithmetic on the
+        # masks: np.where branches per entry, and masks in input order defeat
+        # branch prediction.  Clipping y to the interior's range first leaves
+        # the interior exact and keeps the values masked out finite.
+        x = y.clip(ys[a], ys[b - 1])
+        x += gamma
+        x *= free
+        x += at_cap
         # One re-centering pass: keeps the sum residual at rounding level
         # after the interior values are rounded at large D.
-        delta = (s - float(xs.sum())) / (b - a)
+        delta = (s - float(x.sum())) / (b - a)
         if delta != 0.0:
-            xs[a:b] += delta
+            x += delta * free
             gamma += delta
     else:
         gamma = _degenerate_gamma(ys, a)
-    x = np.empty(d)
-    x[inst.perm] = xs
-    return ProjectionResult(x=x, gamma=float(gamma), partition=p, perm=inst.perm)
+        x = at_cap.astype(np.float64)
+    return ProjectionResult(x=x, gamma=float(gamma), partition=p, at_zero=at_zero, at_cap=at_cap)
 
 
 def project_capped_simplex(inp: ProjectionInput) -> ProjectionResult:
@@ -246,14 +264,14 @@ def project_capped_simplex(inp: ProjectionInput) -> ProjectionResult:
     """
     if inp.t != 1.0:
         raise InvalidInputError("cap must be 1 here; use project_capped_box for general caps")
-    inst = sort_with_permutation(inp.y)
-    p = Partition(*_kink_search(inst.y_sorted, inst.prefix, inp.s))
-    res = _assemble(inst, p, inp.s)
-    eps = default_eps(inp.y)
+    ys = np.sort(inp.y)
+    p = Partition(*_kink_search(ys, _prefix_sums(ys), inp.s))
+    res = _assemble(inp.y, ys, p, inp.s)
+    eps = default_eps(ys[[0, -1]])  # the extremes carry max |y|
     if p.a == p.b:
-        ok = boundary_case_holds(inst, p.a, inp.s, eps)
+        ok = boundary_case_holds(ys, p.a, inp.s, eps)
     else:
-        ok = partition_is_optimal(inst, p, res.gamma, eps)
+        ok = partition_is_optimal(ys, p, res.gamma, eps)
     if not ok:
         raise InconsistentCandidateError(
             f"split (a={p.a}, b={p.b}) with gamma={res.gamma!r} fails the optimality "
@@ -266,13 +284,15 @@ def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
     """Projection onto {x : sum(x) = s, 0 <= x <= t} for a general cap t > 0.
 
     Reduces to the unit-cap problem on (y/t, s/t) and rescales: the solution
-    and its sum multiplier are both t times the inner ones.
+    and its sum multiplier are both t times the inner ones.  The blocks are
+    the inner solve's: ``y/t`` can round two distinct values of y to one, so
+    thresholds on y itself could split what the inner solve kept together.
     """
     if inp.t == 1.0:
         return project_capped_simplex(inp)
     s_inner = min(max(inp.s / inp.t, 0.0), float(inp.dim))  # clip rounding spill
     inner = ProjectionInput(inp.y / inp.t, s_inner)
     res = project_capped_simplex(inner)
-    return ProjectionResult(
-        x=inp.t * res.x, gamma=inp.t * res.gamma, partition=res.partition, perm=res.perm
-    )
+    res.x *= inp.t
+    res.gamma *= inp.t
+    return res

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from cappedproj import METHODS, read_records
+from cappedproj import cli
 from cappedproj.cli import cli_dispatch, format_vector, read_vector, write_vector
 
 
@@ -112,6 +113,18 @@ class TestVerify:
         assert strict == 1 and loose == 0
 
 
+    def test_cap_flag(self, vec_file, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        project = ["project", "--s", "2", "--cap", "2", "--input", vec_file]
+        assert cli_dispatch(project + ["--output", str(out)]) == 0
+        npt.assert_allclose(read_vector(out), [0.4, 0.0, 1.6], atol=1e-15)
+        verify = ["verify", "--s", "2", "--input", str(out), "--against", vec_file]
+        assert cli_dispatch(verify + ["--cap", "2"]) == 0
+        assert "passed true" in capsys.readouterr().out
+        assert cli_dispatch(verify) == 1
+        assert "passed false" in capsys.readouterr().out
+
+
 class TestCompare:
     def test_all_methods_run(self, vec_file, capsys):
         code = cli_dispatch(
@@ -121,6 +134,17 @@ class TestCompare:
         assert code == 0
         for token in (*METHODS, "max_diff_vs_exact"):
             assert token in out
+
+    def test_cap_flag(self, vec_file, capsys):
+        code = cli_dispatch(
+            ["compare", "--s", "2", "--cap", "2", "--input", vec_file,
+             "--methods", ",".join(METHODS)]
+        )
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert code == 0
+        diffs = {row.split()[0]: float(row.split()[-1]) for row in rows}
+        assert set(diffs) == set(METHODS)
+        assert max(diffs.values()) <= 1e-6, diffs
 
     def test_unknown_method_exits_2(self, vec_file, capsys):
         code = cli_dispatch(
@@ -167,6 +191,16 @@ class TestBench:
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+    def test_unwritable_csv_fails_before_the_grid_runs(self, tmp_path, capsys, monkeypatch):
+        def no_run(plan):
+            raise AssertionError("the grid ran before the CSV path was checked")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_run)
+        path = tmp_path / "missing" / "x.csv"
+        assert cli_dispatch(["bench", "--csv", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 class TestGen:

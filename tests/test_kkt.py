@@ -1,5 +1,7 @@
 """Tests for multiplier recovery, residual measurement, and certification."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +12,6 @@ from cappedproj import (
     InvalidInputError,
     KktCertificate,
     KktReport,
-    Partition,
     ProjectionInput,
     certify,
     certify_result,
@@ -23,19 +24,27 @@ from cappedproj import (
 from cappedproj.kkt import feasibility_check
 
 
+def _blocks(at_zero, at_cap):
+    return np.array(at_zero, dtype=bool), np.array(at_cap, dtype=bool)
+
+
 class TestRecoverMultipliers:
     def test_pinned_coordinates_get_forced_values(self):
+        # the blocks are masks in input order, which need not be sorted
         cert = recover_multipliers(
-            np.array([-2.0, 0.5, 3.0]), np.array([0.0, 0.5, 1.0]), 0.0, Partition(1, 2)
+            np.array([3.0, -2.0, 0.5]),
+            np.array([1.0, 0.0, 0.5]),
+            0.0,
+            _blocks([0, 1, 0], [1, 0, 0]),
         )
-        npt.assert_allclose(cert.alpha, [2.0, 0.0, 0.0], atol=1e-15)
-        npt.assert_allclose(cert.beta, [0.0, 0.0, 2.0], atol=1e-15)
+        npt.assert_allclose(cert.alpha, [0.0, 2.0, 0.0], atol=1e-15)
+        npt.assert_allclose(cert.beta, [2.0, 0.0, 0.0], atol=1e-15)
         assert cert.gamma == 0.0
 
     def test_all_interior_means_zero_multipliers(self):
         y = np.array([0.3, -0.1, 0.4])
         x = y + 0.1
-        cert = recover_multipliers(y, x, 0.1, Partition(0, 3))
+        cert = recover_multipliers(y, x, 0.1, _blocks([0, 0, 0], [0, 0, 0]))
         npt.assert_array_equal(cert.alpha, np.zeros(3))
         npt.assert_array_equal(cert.beta, np.zeros(3))
 
@@ -49,30 +58,51 @@ class TestRecoverMultipliers:
     def test_inconsistent_zero_segment(self):
         with pytest.raises(InconsistentCandidateError):
             recover_multipliers(
-                np.array([-2.0, 0.5, 3.0]), np.array([0.2, 0.5, 1.0]), 0.0, Partition(1, 2)
+                np.array([-2.0, 0.5, 3.0]),
+                np.array([0.2, 0.5, 1.0]),
+                0.0,
+                _blocks([1, 0, 0], [0, 0, 1]),
             )
 
     def test_inconsistent_one_segment(self):
         with pytest.raises(InconsistentCandidateError):
             recover_multipliers(
-                np.array([-2.0, 0.5, 3.0]), np.array([0.0, 0.5, 0.7]), 0.0, Partition(1, 2)
+                np.array([-2.0, 0.5, 3.0]),
+                np.array([0.0, 0.5, 0.7]),
+                0.0,
+                _blocks([1, 0, 0], [0, 0, 1]),
             )
 
     def test_interior_escaping_the_box(self):
         with pytest.raises(InconsistentCandidateError):
             recover_multipliers(
-                np.array([-2.0, 1.5, 3.0]), np.array([0.0, 1.4, 1.0]), 0.0, Partition(1, 2)
+                np.array([-2.0, 1.5, 3.0]),
+                np.array([0.0, 1.4, 1.0]),
+                0.0,
+                _blocks([1, 0, 0], [0, 0, 1]),
+            )
+
+    def test_overlapping_blocks(self):
+        with pytest.raises(InconsistentCandidateError):
+            recover_multipliers(
+                np.zeros(2), np.zeros(2), 0.0, _blocks([1, 0], [1, 0]), cap=1e-9
             )
 
     def test_shape_validation(self):
         with pytest.raises(InvalidInputError):
             recover_multipliers(np.zeros(3), np.zeros(2), 0.0)
         with pytest.raises(InvalidInputError):
-            recover_multipliers(np.zeros(3), np.zeros(3), 0.0, Partition(1, 5))
+            recover_multipliers(
+                np.zeros(3), np.zeros(3), 0.0, _blocks([1, 0, 0, 0, 0], [0, 0, 0, 0, 0])
+            )
 
     def test_general_cap(self):
         cert = recover_multipliers(
-            np.array([-1.0, 0.2, 4.0]), np.array([0.0, 0.7, 2.0]), 0.5, Partition(1, 2), cap=2.0
+            np.array([-1.0, 0.2, 4.0]),
+            np.array([0.0, 0.7, 2.0]),
+            0.5,
+            _blocks([1, 0, 0], [0, 0, 1]),
+            cap=2.0,
         )
         npt.assert_allclose(cert.alpha, [0.5, 0.0, 0.0], atol=1e-15)
         npt.assert_allclose(cert.beta, [0.0, 0.0, 2.5], atol=1e-15)
@@ -209,3 +239,16 @@ class TestCertifyResult:
         _, report = certify_result(inp, res)
         assert report.passed
         assert report.max_residual <= 1e-12
+
+    def test_blocks_that_disagree_with_the_partition_raise(self):
+        inp = ProjectionInput(np.array([0.3, -0.2, 1.5]), 2.0)
+        res = project_capped_simplex(inp)
+        assert (res.partition.a, res.partition.b) == (0, 2)
+        no_cap = np.zeros(3, dtype=bool)
+        for bad in (
+            dataclasses.replace(res, at_cap=no_cap),  # D - b = 1 pinned, 0 reported
+            dataclasses.replace(res, at_zero=np.array([False, True, False])),  # a = 0
+            dataclasses.replace(res, at_cap=np.array([True, False, False])),  # x[0] = 0.75
+        ):
+            with pytest.raises(InconsistentCandidateError):
+                certify_result(inp, bad)

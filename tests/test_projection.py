@@ -13,6 +13,7 @@ from cappedproj import (
     InvalidInputError,
     Partition,
     ProjectionInput,
+    certify_result,
     enumerate_oracle,
     project_capped_box,
     project_capped_simplex,
@@ -87,77 +88,77 @@ class TestSortWithPermutation:
 
 class TestGammaForPartition:
     def test_three_point_shift(self):
-        inst = sort_with_permutation(np.array([-0.2, 0.3, 1.5]))
-        g = gamma_for_partition(inst, Partition(0, 2), 2.0)
+        ys = np.sort(np.array([-0.2, 0.3, 1.5]))
+        g = gamma_for_partition(ys, Partition(0, 2), 2.0)
         assert abs(g - 0.45) < 1e-15
 
     def test_all_interior_is_mean_shift(self):
         y = np.array([0.3, -0.1, 0.4, 0.2])
-        inst = sort_with_permutation(y)
-        g = gamma_for_partition(inst, Partition(0, 4), 1.0)
+        ys = np.sort(y)
+        g = gamma_for_partition(ys, Partition(0, 4), 1.0)
         npt.assert_allclose(g, (1.0 - y.sum()) / 4.0, atol=1e-15)
 
     def test_single_interior_coordinate(self):
-        inst = sort_with_permutation(np.array([-2.0, 0.5, 3.0]))
-        g = gamma_for_partition(inst, Partition(1, 2), 1.5)
+        ys = np.sort(np.array([-2.0, 0.5, 3.0]))
+        g = gamma_for_partition(ys, Partition(1, 2), 1.5)
         assert g == 0.0
 
     def test_interior_summed_directly_next_to_an_outlier(self):
         # prefix[4] - prefix[1] rounds to 0 at 1e17; the interior sums to 0.6
-        inst = sort_with_permutation(np.array([-1e17, 0.1, 0.2, 0.3]))
-        g = gamma_for_partition(inst, Partition(1, 4), 1.5)
+        ys = np.sort(np.array([-1e17, 0.1, 0.2, 0.3]))
+        g = gamma_for_partition(ys, Partition(1, 4), 1.5)
         assert abs(g - 0.3) < 1e-15
 
     def test_empty_interior_rejected(self):
-        inst = sort_with_permutation(np.array([0.1, 0.9]))
+        ys = np.sort(np.array([0.1, 0.9]))
         with pytest.raises(DegeneratePartitionError):
-            gamma_for_partition(inst, Partition(1, 1), 1.0)
+            gamma_for_partition(ys, Partition(1, 1), 1.0)
 
 
 class TestPartitionIsOptimal:
     def test_accepts_the_true_split(self):
-        inst = sort_with_permutation(np.array([-2.0, 0.5, 3.0]))
-        assert partition_is_optimal(inst, Partition(1, 2), 0.0, 1e-9)
+        ys = np.sort(np.array([-2.0, 0.5, 3.0]))
+        assert partition_is_optimal(ys, Partition(1, 2), 0.0, 1e-9)
 
     def test_rejects_wrong_shift(self):
-        inst = sort_with_permutation(np.array([-2.0, 0.5, 3.0]))
-        assert not partition_is_optimal(inst, Partition(1, 2), 0.7, 1e-9)
-        assert not partition_is_optimal(inst, Partition(1, 2), -0.6, 1e-9)
+        ys = np.sort(np.array([-2.0, 0.5, 3.0]))
+        assert not partition_is_optimal(ys, Partition(1, 2), 0.7, 1e-9)
+        assert not partition_is_optimal(ys, Partition(1, 2), -0.6, 1e-9)
 
     def test_rejects_wrong_split(self):
-        inst = sort_with_permutation(np.array([-2.0, 0.5, 3.0]))
-        g = gamma_for_partition(inst, Partition(0, 2), 1.5)
-        assert not partition_is_optimal(inst, Partition(0, 2), g, 1e-9)
+        ys = np.sort(np.array([-2.0, 0.5, 3.0]))
+        g = gamma_for_partition(ys, Partition(0, 2), 1.5)
+        assert not partition_is_optimal(ys, Partition(0, 2), g, 1e-9)
 
     def test_virtual_neighbors_are_skipped(self):
         # a = 0 has no zero block and b = D has no one block; the tests
         # against those neighbors must not fire
-        inst = sort_with_permutation(np.array([0.1, 0.2]))
-        assert partition_is_optimal(inst, Partition(0, 2), 0.35, 1e-9)
+        ys = np.sort(np.array([0.1, 0.2]))
+        assert partition_is_optimal(ys, Partition(0, 2), 0.35, 1e-9)
 
     def test_tolerance_widens_acceptance(self):
-        inst = sort_with_permutation(np.array([-2.0, 0.5, 3.0]))
-        assert not partition_is_optimal(inst, Partition(1, 2), 0.51, 1e-9)
-        assert partition_is_optimal(inst, Partition(1, 2), 0.51, 0.1)
+        ys = np.sort(np.array([-2.0, 0.5, 3.0]))
+        assert not partition_is_optimal(ys, Partition(1, 2), 0.51, 1e-9)
+        assert partition_is_optimal(ys, Partition(1, 2), 0.51, 0.1)
 
 
 class TestBoundaryCaseHolds:
     def test_wide_gap_with_matching_sum(self):
-        inst = sort_with_permutation(np.array([0.0, 5.0]))
-        assert boundary_case_holds(inst, 1, 1.0, 1e-9)
+        ys = np.sort(np.array([0.0, 5.0]))
+        assert boundary_case_holds(ys, 1, 1.0, 1e-9)
 
     def test_sum_mismatch(self):
-        inst = sort_with_permutation(np.array([0.0, 5.0]))
-        assert not boundary_case_holds(inst, 1, 1.5, 1e-9)
+        ys = np.sort(np.array([0.0, 5.0]))
+        assert not boundary_case_holds(ys, 1, 1.5, 1e-9)
 
     def test_narrow_gap(self):
-        inst = sort_with_permutation(np.array([0.0, 0.8]))
-        assert not boundary_case_holds(inst, 1, 1.0, 1e-9)
+        ys = np.sort(np.array([0.0, 0.8]))
+        assert not boundary_case_holds(ys, 1, 1.0, 1e-9)
 
     def test_ends_have_no_gap_requirement(self):
-        inst = sort_with_permutation(np.array([0.3, -0.2]))
-        assert boundary_case_holds(inst, 0, 2.0, 1e-9)
-        assert boundary_case_holds(inst, 2, 0.0, 1e-9)
+        ys = np.sort(np.array([0.3, -0.2]))
+        assert boundary_case_holds(ys, 0, 2.0, 1e-9)
+        assert boundary_case_holds(ys, 2, 0.0, 1e-9)
 
 
 class TestProjectCappedSimplex:
@@ -217,19 +218,28 @@ class TestProjectCappedSimplex:
         assert abs(res.x.sum() - inp.s) <= 1e-8
 
     def test_reported_partition_matches_x(self):
+        # the blocks come back as masks in input order: exactly +0.0 on the a
+        # zeros, exactly 1.0 on the D - b pinned, inside [0, 1] elsewhere;
+        # the rounded copy of each draw puts ties on the block edges
         rng = np.random.default_rng(6)
         for _ in range(100):
             d = int(rng.integers(2, 30))
             y = rng.normal(size=d)
             s = float(rng.uniform(0.0, d))
-            res = project_capped_simplex(ProjectionInput(y, s))
-            xs = res.x[res.perm]
-            a, b = res.partition.a, res.partition.b
-            npt.assert_array_equal(xs[:a], np.zeros(a))
-            npt.assert_array_equal(xs[b:], np.ones(d - b))
-            if b > a:
-                inner = xs[a:b]
-                assert inner.min() >= -1e-9 and inner.max() <= 1.0 + 1e-9
+            for yy in (y, np.round(y * 4.0) / 4.0):
+                res = project_capped_simplex(ProjectionInput(yy, s))
+                a, b = res.partition.a, res.partition.b
+                assert np.count_nonzero(res.at_zero) == a
+                assert np.count_nonzero(res.at_cap) == d - b
+                assert not np.any(res.at_zero & res.at_cap)
+                npt.assert_array_equal(res.x[res.at_zero], np.zeros(a))
+                assert not np.signbit(res.x[res.at_zero]).any()
+                npt.assert_array_equal(res.x[res.at_cap], np.ones(d - b))
+                inner = res.x[~(res.at_zero | res.at_cap)]
+                assert inner.size == b - a
+                if b > a:
+                    assert inner.min() >= -1e-9 and inner.max() <= 1.0 + 1e-9
+                _assert_ties_kept(yy, res.x)
 
     def test_cap_must_be_one(self):
         with pytest.raises(InvalidInputError):
@@ -238,6 +248,14 @@ class TestProjectCappedSimplex:
     def test_single_coordinate(self):
         res = project_capped_simplex(ProjectionInput(np.array([0.7]), 0.25))
         npt.assert_allclose(res.x, [0.25], atol=1e-15)
+
+
+def _assert_ties_kept(y, x):
+    """Equal entries of y have equal entries of x."""
+    order = np.argsort(y, kind="stable")
+    ys, xs = y[order], x[order]
+    same = ys[1:] == ys[:-1]
+    npt.assert_array_equal(xs[1:][same], xs[:-1][same])
 
 
 GOLDEN = [
@@ -251,6 +269,16 @@ GOLDEN = [
     # to the outlier's magnitude
     ([1e10, 0.1, 0.2, 0.3], 1.5, [1.0, 1.0 / 15.0, 1.0 / 6.0, 4.0 / 15.0]),
     ([-1e9, 0.1, 0.2, 0.3], 1.5, [0.0, 0.4, 0.5, 0.6]),
+    # a tie group on each block edge, from either side: exactly at 0, first
+    # in the interior, exactly at the cap, last in the interior, and groups
+    # on both edges at once (shifted, unshifted, and all pinned)
+    ([0.5, 0.0, 0.5, 0.0], 1.0, [0.5, 0.0, 0.5, 0.0]),
+    ([0.25, -1.0, 0.75, 0.25], 1.5, [1.0 / 3.0, 0.0, 5.0 / 6.0, 1.0 / 3.0]),
+    ([1.0, 0.25, 1.0, 0.25], 2.5, [1.0, 0.25, 1.0, 0.25]),
+    ([0.5, 3.0, 0.0, 0.5], 2.0, [0.5, 1.0, 0.0, 0.5]),
+    ([1.5, -0.5, 0.2, 1.5, 0.2, -0.5], 3.0, [1.0, 0.0, 0.5, 1.0, 0.5, 0.0]),
+    ([0.75, -0.25, 0.5, -0.25], 1.75, [1.0, 0.0, 0.75, 0.0]),
+    ([2.0, 0.0, 2.0, 0.0], 2.0, [1.0, 0.0, 1.0, 0.0]),
 ]
 
 
@@ -259,6 +287,7 @@ def test_golden_instances(y, s, want):
     res = project_capped_simplex(ProjectionInput(y, s))
     npt.assert_allclose(res.x, want, rtol=0.0, atol=1e-12)
     npt.assert_allclose(enumerate_oracle(y, s), want, rtol=0.0, atol=1e-12)
+    _assert_ties_kept(np.array(y), res.x)
 
 
 _grid = st.integers(-16, 16).map(lambda k: k / 8.0)
@@ -317,6 +346,23 @@ class TestProjectCappedBox:
         doubled = project_capped_box(ProjectionInput(y, 1.0, t=2.0))
         npt.assert_allclose(doubled.x, 2.0 * unit.x, atol=1e-15)
         npt.assert_allclose(doubled.gamma, 2.0 * unit.gamma, atol=1e-15)
+
+    def test_values_merged_by_the_cap_keep_one_block(self):
+        # y0 < y1 are adjacent doubles with y0 / t == y1 / t: the inner solve
+        # sees one tie group, and its blocks are the ones returned
+        t, y0, y1 = 0.3, 0.24031489825270647, 0.2403148982527065
+        assert y0 < y1 and y0 / t == y1 / t
+        y = np.array([y1, 0.0, y0, 0.9])
+        for s in np.linspace(0.0, t * y.size, 25):
+            inp = ProjectionInput(y, s, t=t)
+            res = project_capped_box(inp)
+            assert res.x[0] == res.x[2]
+            assert res.at_zero[0] == res.at_zero[2] and res.at_cap[0] == res.at_cap[2]
+            npt.assert_array_equal(res.x[res.at_cap], t)
+            npt.assert_array_equal(res.x[res.at_zero], 0.0)
+            assert certify_result(inp, res)[1].passed
+            ref = t * enumerate_oracle(y / t, min(s / t, float(y.size)))
+            assert np.max(np.abs(res.x - ref)) <= 1e-12
 
     def test_full_box_target(self):
         res = project_capped_box(ProjectionInput(np.array([0.0, 9.0, -3.0]), 3 * 7.3, t=7.3))
