@@ -36,7 +36,7 @@ def _iterative(solver):
 
 
 def _oracle(inp, config):
-    # the oracle solves the unit cap; rescale as project_capped_box does
+    # the oracle solves the unit cap only, so it alone rescales by t
     t = inp.t
     x = t * enumerate_oracle(inp.y / t, min(inp.s / t, float(inp.dim)))
     return x, 1, True, lambda: certify(inp, x)[1]

@@ -78,22 +78,22 @@ def recover_multipliers(
     blocks: tuple | None = None,
     *,
     cap: float = 1.0,
-    ctol: float = DEFAULT_CLASSIFY_TOL,
 ) -> KktCertificate:
     """Bound multipliers forced by stationarity for a candidate (x, gamma).
 
     ``blocks`` is a pair ``(at_zero, at_cap)`` of boolean masks in the order
     of y: the coordinates claimed pinned at 0 and at cap.  They are taken as
-    given after a consistency check; without them, coordinates within ctol of
-    a bound are classified as pinned there.  Entries pinned at 0 get
-    alpha_i = -(y_i + gamma); entries pinned at cap get
-    beta_i = y_i + gamma - cap.  The recovered values may be negative, which
+    given after a consistency check; without them, coordinates within
+    ``DEFAULT_CLASSIFY_TOL`` of a bound are classified as pinned there.
+    Entries pinned at 0 get alpha_i = -(y_i + gamma); entries pinned at cap
+    get beta_i = y_i + gamma - cap.  The recovered values may be negative, which
     the residual check will expose; recovery itself never hides a violation.
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if y.shape != x.shape or y.ndim != 1:
         raise InvalidInputError("y and x must be one-dimensional vectors of equal length")
+    ctol = DEFAULT_CLASSIFY_TOL
     if blocks is not None:
         zero, one = (np.asarray(m, dtype=bool) for m in blocks)
         if zero.shape != y.shape or one.shape != y.shape:
@@ -164,9 +164,10 @@ def feasibility_check(x, s: float, tol: float, cap: float = 1.0) -> bool:
     return abs(float(x.sum()) - s) <= tol
 
 
-def _estimate_gamma(y, x, cap, ctol):
+def _estimate_gamma(y, x, cap):
     # stationarity on interior coordinates reads x = y + gamma; average the
     # per-coordinate estimates, or fall back to the pinned groups' interval
+    ctol = DEFAULT_CLASSIFY_TOL
     interior = (x > ctol) & (x < cap - ctol)
     if interior.any():
         return float(np.mean(x[interior] - y[interior]))
@@ -189,18 +190,18 @@ def certify(
     gamma: float | None = None,
     *,
     tol: float = DEFAULT_TOL,
-    ctol: float = DEFAULT_CLASSIFY_TOL,
 ) -> tuple[KktCertificate, KktReport]:
     """Certificate and residual report for any candidate vector.
 
     Works from the candidate alone: coordinates are classified against the
-    bounds with slack ctol, gamma is estimated from the interior when not
-    supplied, and every residual is measured at tolerance tol.
+    bounds with slack ``DEFAULT_CLASSIFY_TOL``, gamma is estimated from the
+    interior when not supplied, and every residual is measured at tolerance
+    tol.
     """
     x = np.asarray(x, dtype=np.float64)
     if gamma is None:
-        gamma = _estimate_gamma(inp.y, x, inp.t, ctol)
-    cert = recover_multipliers(inp.y, x, gamma, cap=inp.t, ctol=ctol)
+        gamma = _estimate_gamma(inp.y, x, inp.t)
+    cert = recover_multipliers(inp.y, x, gamma, cap=inp.t)
     report = kkt_residuals(inp, x, cert, tol)
     return cert, report
 

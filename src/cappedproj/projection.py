@@ -1,16 +1,17 @@
 """Exact Euclidean projection onto the capped simplex.
 
-The feasible set is ``{x : sum(x) = s, 0 <= x <= 1}`` (or an upper bound ``t``
-instead of 1).  Sorted ascending, the unique minimizer of ``0.5*||x - y||^2``
-over this set consists of ``a`` zeros, then interior values ``y_k + gamma``,
-then ``D - b`` ones.  After one sort of the values the solver finds ``(a, b)``
-by bisection over the kinks of the piecewise linear sum ``sum(clip(y + gamma,
-0, 1))``, solves ``gamma`` from the sum constraint, and checks the split with
-the optimality sign tests; multiplier recovery shows a split that passes
-them satisfies the full first-order system, so it is the minimizer.  A split
-that fails them raises instead of being returned.  The answer is built in
-the input order directly: a split never cuts a group of equal values, so
-each block is an exact comparison of y against one sorted value.
+The feasible set is ``{x : sum(x) = s, 0 <= x <= t}``; the capped simplex of
+the paper is the unit cap ``t = 1``.  Sorted ascending, the unique minimizer
+of ``0.5*||x - y||^2`` over this set consists of ``a`` zeros, then interior
+values ``y_k + gamma``, then ``D - b`` entries at the cap.  After one sort of
+the values the solver finds ``(a, b)`` by bisection over the kinks of the
+piecewise linear sum ``sum(clip(y + gamma, 0, t))``, solves ``gamma`` from
+the sum constraint, and checks the split with the optimality sign tests;
+multiplier recovery shows a split that passes them satisfies the full
+first-order system, so it is the minimizer.  A split that fails them raises
+instead of being returned.  The answer is built in the input order directly:
+a split never cuts a group of equal values, so each block is an exact
+comparison of y against one sorted value.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .errors import (
 )
 
 
-def default_eps(y) -> float:
-    """Comparison tolerance for the optimality tests, scaled to the data."""
-    return 1e-9 * max(1.0, float(np.abs(y).max()))
+def default_eps(y, t: float = 1.0) -> float:
+    """Comparison tolerance for the optimality tests, scaled to the cap and the data."""
+    return 1e-9 * max(t, float(np.abs(y).max()))
 
 
 @dataclass
@@ -83,7 +84,7 @@ class SortedInstance:
 
 @dataclass
 class Partition:
-    """Split of the sorted coordinates: a zeros, interior up to b, then ones."""
+    """Split of the sorted coordinates: a zeros, interior up to b, then the cap."""
 
     a: int
     b: int
@@ -131,100 +132,105 @@ def sort_with_permutation(y) -> SortedInstance:
     return SortedInstance(y_sorted=y_sorted, perm=perm, prefix=_prefix_sums(y_sorted))
 
 
-def gamma_for_partition(ys: np.ndarray, p: Partition, s: float) -> float:
+def gamma_for_partition(ys: np.ndarray, p: Partition, s: float, t: float = 1.0) -> float:
     """Shift applied to the interior so that the output sums to s.
 
-    ``ys`` is y sorted ascending.  With a zeros and D - b ones fixed, the sum
-    constraint forces ``gamma = (s - (D - b) - sum(y_a..y_b)) / (b - a)``.
-    The interior is summed directly (pairwise) rather than as a difference
-    of prefix sums, which loses the interior to cancellation next to a large
-    outlier.
+    ``ys`` is y sorted ascending.  With a zeros and D - b entries at the cap
+    t fixed, the sum constraint forces
+    ``gamma = (s - t*(D - b) - sum(y_a..y_b)) / (b - a)``.  The interior is
+    summed directly (pairwise) rather than as a difference of prefix sums,
+    which loses the interior to cancellation next to a large outlier.
     """
     if p.a == p.b:
         raise DegeneratePartitionError(
             f"gamma is undefined for an empty interior (a = b = {p.a})"
         )
     interior = float(ys[p.a : p.b].sum())
-    return (s - (ys.size - p.b) - interior) / (p.b - p.a)
+    return (s - t * (ys.size - p.b) - interior) / (p.b - p.a)
 
 
-def partition_is_optimal(ys: np.ndarray, p: Partition, gamma: float, eps: float) -> bool:
+def partition_is_optimal(
+    ys: np.ndarray, p: Partition, gamma: float, eps: float, t: float = 1.0
+) -> bool:
     """Sign tests certifying that (a, b, gamma) assembles the minimizer.
 
     ``ys`` is y sorted ascending.  Requires ``y_a + gamma <= 0 < y_{a+1} +
-    gamma`` and ``y_b + gamma < 1 <= y_{b+1} + gamma`` (1-based, sorted),
+    gamma`` and ``y_b + gamma < t <= y_{b+1} + gamma`` (1-based, sorted),
     each widened by eps; comparisons against the virtual entries y_0 = -inf
     and y_{D+1} = +inf are skipped.  Assumes 0 <= a < b <= D.
     """
-    d = ys.size
     a, b = p.a, p.b
-    if a > 0 and ys[a - 1] + gamma > eps:
-        return False
-    if not ys[a] + gamma > -eps:
-        return False
-    if not ys[b - 1] + gamma < 1.0 + eps:
-        return False
-    if b < d and ys[b] + gamma < 1.0 - eps:
-        return False
-    return True
+    return (
+        (a == 0 or not ys[a - 1] + gamma > eps)
+        and ys[a] + gamma > -eps
+        and ys[b - 1] + gamma < t + eps
+        and (b == ys.size or not ys[b] + gamma < t - eps)
+    )
 
 
-def boundary_case_holds(ys: np.ndarray, a: int, s: float, eps: float) -> bool:
-    """Whether the all-pinned solution (a zeros, D - a ones) is optimal.
+def boundary_case_holds(ys: np.ndarray, a: int, s: float, eps: float, t: float = 1.0) -> bool:
+    """Whether the all-pinned solution (a zeros, D - a at the cap t) is optimal.
 
-    ``ys`` is y sorted ascending.  Needs s = D - a and a unit gap
-    y_{a+1} - y_a >= 1; the gap test is vacuous at a = 0 and a = D where one
+    ``ys`` is y sorted ascending.  Needs s = t*(D - a) and a gap
+    y_{a+1} - y_a >= t; the gap test is vacuous at a = 0 and a = D where one
     neighbor is virtual.
     """
     d = ys.size
-    if abs(s - (d - a)) > eps:
-        return False
-    if 0 < a < d:
-        return ys[a] - ys[a - 1] >= 1.0 - eps
-    return True
+    return abs(s - t * (d - a)) <= eps and (not 0 < a < d or ys[a] - ys[a - 1] >= t - eps)
 
 
-def _degenerate_gamma(ys: np.ndarray, a: int) -> float:
-    # Any value in [1 - y_{a+1}, -y_a] gives nonnegative multipliers; report
+def _degenerate_gamma(ys: np.ndarray, a: int, t: float) -> float:
+    # Any value in [t - y_{a+1}, -y_a] gives nonnegative multipliers; report
     # the midpoint, or the finite endpoint when one side is unbounded.
     d = ys.size
     if a == 0:
-        return 1.0 - ys[0]
+        return t - ys[0]
     if a == d:
         return -ys[-1]
-    return 0.5 * ((1.0 - ys[a]) - ys[a - 1])
+    return 0.5 * ((t - ys[a]) - ys[a - 1])
 
 
-def _kink_search(ys: np.ndarray, prefix: np.ndarray, s: float):
-    """Split (a, b) of the sorted coordinates for the sum target s.
+def _kink_search(ys: np.ndarray, prefix: np.ndarray, s: float, t: float):
+    """Split (a, b) of the sorted coordinates for the sum target s and cap t.
 
-    ``f(gamma) = sum(clip(y + gamma, 0, 1))`` is nondecreasing and piecewise
-    linear, with kinks at ``-y_k`` (coordinate k leaves 0) and ``1 - y_k``
-    (coordinate k reaches 1).  Coordinate k ends at zero when
-    ``f(-y_k) >= s`` and at the cap when ``f(1 - y_k) <= s``.  Both tests are
+    ``f(gamma) = sum(clip(y + gamma, 0, t))`` is nondecreasing and piecewise
+    linear, with kinks at ``-y_k`` (coordinate k leaves 0) and ``t - y_k``
+    (coordinate k reaches t).  Coordinate k ends at zero when
+    ``f(-y_k) >= s`` and at the cap when ``f(t - y_k) <= s``.  Both tests are
     monotone in k, so each block edge is one bisection over the kinks:
     ``ceil(log2 D)`` evaluations of f from the prefix sums and two
     searchsorted calls each.  The split is read off the kink indices, never
     off float tests of ``y + gamma``.  The one case where f is flat at level
-    s, the all-pinned split (integral s and a unit gap), is tested first.
+    s, the all-pinned split (s a multiple of t, a gap of t), is tested first.
     """
     d = ys.size
-    a = d - int(s)
-    if s == d - a and (a == 0 or a == d or ys[a] - ys[a - 1] >= 1.0):
+    a = d - round(s / t)
+    if boundary_case_holds(ys, a, s, 0.0, t):
         return a, a
 
     def f(gamma):
         lo = ys.searchsorted(-gamma, side="right")
-        hi = ys.searchsorted(1.0 - gamma, side="left")
-        return d - hi + prefix[hi] - prefix[lo] + (hi - lo) * gamma
+        hi = ys.searchsorted(t - gamma, side="left")
+        # int(hi) keeps the cap term in Python scalars: a NumPy integer
+        # times a float costs as much as the rest of f
+        return t * (d - int(hi)) + prefix[hi] - prefix[lo] + (hi - lo) * gamma
 
     # first k whose test holds: the tests read False, ..., False, True, ...
     a = bisect_left(range(d), True, key=lambda k: f(-ys[k]) < s)
-    b = bisect_left(range(d), True, lo=a, key=lambda k: f(1.0 - ys[k]) <= s)
+    b = bisect_left(range(d), True, lo=a, key=lambda k: f(t - ys[k]) <= s)
     return a, b
 
 
-def _assemble(y: np.ndarray, ys: np.ndarray, p: Partition, s: float) -> ProjectionResult:
+def _add_masked(x: np.ndarray, mask: np.ndarray, c: float) -> None:
+    # x += c * mask in blocks of 2^14 entries: a temporary as large as x
+    # costs more in page faults than the whole product
+    for i in range(0, x.size, 1 << 14):
+        x[i : i + (1 << 14)] += mask[i : i + (1 << 14)] * c
+
+
+def _assemble(
+    y: np.ndarray, ys: np.ndarray, p: Partition, s: float, t: float
+) -> ProjectionResult:
     # The kink tests read only ys[k], so a and b each start a group of equal
     # values (or equal D): the blocks are exact comparisons against them.
     d = y.size
@@ -232,46 +238,46 @@ def _assemble(y: np.ndarray, ys: np.ndarray, p: Partition, s: float) -> Projecti
     at_zero = y < ys[a] if a < d else np.ones(d, dtype=bool)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
     if b > a:
-        gamma = gamma_for_partition(ys, p, s)
+        gamma = gamma_for_partition(ys, p, s, t)
         free = ~(at_zero | at_cap)
-        # x = y + gamma inside, 0 and 1 on the blocks, by arithmetic on the
+        # x = y + gamma inside, 0 and t on the blocks, by arithmetic on the
         # masks: np.where branches per entry, and masks in input order defeat
         # branch prediction.  Clipping y to the interior's range first leaves
         # the interior exact and keeps the values masked out finite.
         x = y.clip(ys[a], ys[b - 1])
         x += gamma
         x *= free
-        x += at_cap
+        _add_masked(x, at_cap, t)
         # One re-centering pass: keeps the sum residual at rounding level
         # after the interior values are rounded at large D.
         delta = (s - float(x.sum())) / (b - a)
         if delta != 0.0:
-            x += delta * free
+            _add_masked(x, free, delta)
             gamma += delta
     else:
-        gamma = _degenerate_gamma(ys, a)
-        x = at_cap.astype(np.float64)
+        gamma = _degenerate_gamma(ys, a, t)
+        x = at_cap * t
     return ProjectionResult(x=x, gamma=float(gamma), partition=p, at_zero=at_zero, at_cap=at_cap)
 
 
-def project_capped_simplex(inp: ProjectionInput) -> ProjectionResult:
-    """Exact projection of inp.y onto {x : sum(x) = inp.s, 0 <= x <= 1}.
+def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
+    """Exact projection of inp.y onto {x : sum(x) = inp.s, 0 <= x <= inp.t}.
 
-    The solution is returned in the original index order.  The split found
-    by the kink search is checked once with the sign tests at
-    ``default_eps(y)``; if they fail, ``InconsistentCandidateError`` is raised
-    rather than a wrong point returned.
+    The solution is returned in the original index order, exactly 0 on
+    ``at_zero`` and exactly ``inp.t`` on ``at_cap``.  The split found by the
+    kink search is checked once with the sign tests at
+    ``default_eps(y, t) = 1e-9 * max(t, |y|_inf)``; if they fail,
+    ``InconsistentCandidateError`` is raised.
     """
-    if inp.t != 1.0:
-        raise InvalidInputError("cap must be 1 here; use project_capped_box for general caps")
-    ys = np.sort(inp.y)
-    p = Partition(*_kink_search(ys, _prefix_sums(ys), inp.s))
-    res = _assemble(inp.y, ys, p, inp.s)
-    eps = default_eps(ys[[0, -1]])  # the extremes carry max |y|
+    y, s, t = inp.y, inp.s, inp.t
+    ys = np.sort(y)
+    p = Partition(*_kink_search(ys, _prefix_sums(ys), s, t))
+    res = _assemble(y, ys, p, s, t)
+    eps = default_eps(ys[[0, -1]], t)  # the extremes carry max |y|
     if p.a == p.b:
-        ok = boundary_case_holds(ys, p.a, inp.s, eps)
+        ok = boundary_case_holds(ys, p.a, s, eps, t)
     else:
-        ok = partition_is_optimal(ys, p, res.gamma, eps)
+        ok = partition_is_optimal(ys, p, res.gamma, eps, t)
     if not ok:
         raise InconsistentCandidateError(
             f"split (a={p.a}, b={p.b}) with gamma={res.gamma!r} fails the optimality "
@@ -280,19 +286,11 @@ def project_capped_simplex(inp: ProjectionInput) -> ProjectionResult:
     return res
 
 
-def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
-    """Projection onto {x : sum(x) = s, 0 <= x <= t} for a general cap t > 0.
+def project_capped_simplex(inp: ProjectionInput) -> ProjectionResult:
+    """Exact projection of inp.y onto {x : sum(x) = inp.s, 0 <= x <= 1}.
 
-    Reduces to the unit-cap problem on (y/t, s/t) and rescales: the solution
-    and its sum multiplier are both t times the inner ones.  The blocks are
-    the inner solve's: ``y/t`` can round two distinct values of y to one, so
-    thresholds on y itself could split what the inner solve kept together.
+    The unit-cap case of ``project_capped_box``, which it calls.
     """
-    if inp.t == 1.0:
-        return project_capped_simplex(inp)
-    s_inner = min(max(inp.s / inp.t, 0.0), float(inp.dim))  # clip rounding spill
-    inner = ProjectionInput(inp.y / inp.t, s_inner)
-    res = project_capped_simplex(inner)
-    res.x *= inp.t
-    res.gamma *= inp.t
-    return res
+    if inp.t != 1.0:
+        raise InvalidInputError("cap must be 1 here; use project_capped_box for general caps")
+    return project_capped_box(inp)

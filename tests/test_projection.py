@@ -313,7 +313,7 @@ def test_matches_oracle_on_ties_and_wide_values(inst):
 
 def test_wrong_split_raises(monkeypatch):
     # (0, 3) puts -2 in the interior although the projection pins it at 0
-    monkeypatch.setattr(projection, "_kink_search", lambda ys, prefix, s: (0, 3))
+    monkeypatch.setattr(projection, "_kink_search", lambda ys, prefix, s, t: (0, 3))
     with pytest.raises(InconsistentCandidateError):
         project_capped_simplex(ProjectionInput([-2.0, 0.5, 3.0], 1.5))
 
@@ -347,17 +347,15 @@ class TestProjectCappedBox:
         npt.assert_allclose(doubled.x, 2.0 * unit.x, atol=1e-15)
         npt.assert_allclose(doubled.gamma, 2.0 * unit.gamma, atol=1e-15)
 
-    def test_values_merged_by_the_cap_keep_one_block(self):
-        # y0 < y1 are adjacent doubles with y0 / t == y1 / t: the inner solve
-        # sees one tie group, and its blocks are the ones returned
+    def test_adjacent_values_under_a_cap(self):
+        # y0 < y1 are adjacent doubles with y0 / t == y1 / t: the solve works
+        # on y itself, so the blocks are exact and the rescaled oracle agrees
         t, y0, y1 = 0.3, 0.24031489825270647, 0.2403148982527065
         assert y0 < y1 and y0 / t == y1 / t
         y = np.array([y1, 0.0, y0, 0.9])
         for s in np.linspace(0.0, t * y.size, 25):
             inp = ProjectionInput(y, s, t=t)
             res = project_capped_box(inp)
-            assert res.x[0] == res.x[2]
-            assert res.at_zero[0] == res.at_zero[2] and res.at_cap[0] == res.at_cap[2]
             npt.assert_array_equal(res.x[res.at_cap], t)
             npt.assert_array_equal(res.x[res.at_zero], 0.0)
             assert certify_result(inp, res)[1].passed
@@ -369,7 +367,35 @@ class TestProjectCappedBox:
         npt.assert_allclose(res.x, [7.3, 7.3, 7.3], atol=1e-12)
 
 
+@st.composite
+def _capped_instances(draw):
+    d = draw(st.integers(1, 8))
+    t = 10.0 ** draw(st.floats(-3.0, 3.0))
+    grid = st.integers(-16, 16).map(lambda k: k * t / 8.0)
+    y = draw(st.lists(draw(st.sampled_from([grid, _wide])), min_size=d, max_size=d))
+    s = draw(st.one_of(st.integers(0, d).map(lambda k: k * t), st.floats(0.0, t * d)))
+    return np.array(y), s, t
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_capped_instances())
+def test_general_cap_matches_rescaled_oracle(inst):
+    y, s, t = inst
+    inp = ProjectionInput(y, s, t=t)
+    res = project_capped_box(inp)
+    ref = t * enumerate_oracle(y / t, min(s / t, float(y.size)))
+    assert float(np.max(np.abs(res.x - ref))) <= 1e-9 * max(t, float(np.max(np.abs(y))))
+    npt.assert_array_equal(res.x[res.at_zero], 0.0)
+    npt.assert_array_equal(res.x[res.at_cap], t)
+    _assert_ties_kept(y, res.x)
+    assert certify_result(inp, res)[1].passed
+
+
 class TestDefaultEps:
     def test_scales_with_magnitude(self):
         assert default_eps(np.array([0.1, -0.2])) == 1e-9
         assert default_eps(np.array([100.0, -3.0])) == 1e-9 * 100.0
+
+    def test_scales_with_the_cap(self):
+        assert default_eps(np.array([0.1, -0.2]), 5.0) == 1e-9 * 5.0
+        assert default_eps(np.array([100.0, -3.0]), 5.0) == 1e-9 * 100.0
