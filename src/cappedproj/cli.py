@@ -203,7 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=float, default=1.0, help="upper bound per coordinate")
     p.add_argument("--input", required=True, help="file with the candidate solution x")
     p.add_argument("--against", required=True, help="file with the original vector y")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="residual tolerance, relative to the scale of the data (README, Numerics)",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("compare", help="run several methods on one instance")

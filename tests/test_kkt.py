@@ -1,6 +1,7 @@
 """Tests for multiplier recovery, residual measurement, and certification."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -21,7 +22,6 @@ from cappedproj import (
     random_instance,
     recover_multipliers,
 )
-from cappedproj.kkt import feasibility_check
 
 
 def _blocks(at_zero, at_cap):
@@ -173,20 +173,6 @@ class TestMaxResidual:
         assert report.max_residual == 3e-9
 
 
-class TestFeasibilityCheck:
-    def test_accepts_a_feasible_point(self):
-        assert feasibility_check(np.array([0.5, 0.5]), 1.0, 1e-9)
-
-    def test_rejects_bound_violations(self):
-        assert not feasibility_check(np.array([1.2, -0.2]), 1.0, 1e-9)
-
-    def test_rejects_sum_violation(self):
-        assert not feasibility_check(np.array([0.6, 0.6]), 1.0, 1e-9)
-
-    def test_general_cap(self):
-        assert feasibility_check(np.array([1.5, 0.5]), 2.0, 1e-9, cap=2.0)
-
-
 class TestCertify:
     def test_estimates_gamma_from_the_interior(self):
         for seed in (0, 3, 11):
@@ -252,3 +238,289 @@ class TestCertifyResult:
         ):
             with pytest.raises(InconsistentCandidateError):
                 certify_result(inp, bad)
+
+
+def _bisection_projection(y, s, t):
+    # independent reference: 200 bisection steps on the shift gamma of
+    # sum(clip(y + gamma, 0, t)) = s, which pins gamma to adjacent doubles
+    lo, hi = -float(y.max()), t - float(y.min())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.clip(y + mid, 0.0, t).sum() < s:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(y + 0.5 * (lo + hi), 0.0, t)
+
+
+def _close_to(x, ref, inp):
+    # x_i = y_i + gamma carries the rounding of y_i, so each coordinate is
+    # compared at the scale of its own y_i
+    return bool(np.all(np.abs(x - ref) <= 1e-9 * np.maximum(inp.t, np.abs(inp.y))))
+
+
+def _outlier_rows(count, seed=401, d=64):
+    # rows of U[-0.5, 0.5) with one outlier of +-10^U(0, 12) at a random place
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        y = rng.random(d) - 0.5
+        y[rng.integers(d)] = (1.0 if rng.random() < 0.5 else -1.0) * 10.0 ** rng.uniform(0.0, 12.0)
+        yield ProjectionInput(y, float(rng.uniform(0.0, d)))
+
+
+# Correct general-cap answers whose sum residual (1.1e-8 and 1.5e-8) is a few
+# ulps of s ~ 2e7, which an absolute tolerance of 1e-8 rejects.
+LARGE_CAP_CASES = [
+    (
+        [
+            203497.35970210316, 356202.1034820083, 97461.66751201266, 131250.7994911482,
+            -140340.17702123837, 638047.6126838542, 514246.5668694666, -453495.26765180967,
+            -574542.7777969625, 353659.1484545861, -160640.5928541426, 571532.8813931263,
+            51142.411268398646, 181543.7117431745, 333237.5754870298, 464867.3880449631,
+            494738.22860914504, 276005.11050322774, -547928.0913843327, -266571.22021598497,
+            362656.4219967306, -518996.9491325954, -653154.5639602679, -616248.4696462026,
+            -165530.08780000225, 53741.70213369623, -11548.115916879331, 55220.63434622977,
+            177397.81817713392, -145585.53130872783, -8153.378279509781, 187975.47678708925,
+            115608.6505135512, -196401.35241073722, -254887.67120013697, -452856.6014782112,
+            273998.99692946806,
+        ],
+        19404954.09046178,
+        670704.826842675,
+    ),
+    (
+        [
+            540735.85794805, 271870.14966786397, 595470.4950218605, 163503.54720055597,
+            -142224.4865050979, 619768.2069310386, -534002.0524159829, 11043.591019565218,
+            -185764.94969161807, 335024.1303797716, 74364.83372645856, 591987.9809038726,
+            3535.5453988818426, 107215.41379919958, 159659.22018743784, 115413.64928123385,
+            -553349.0793920509, -486163.37495245656, -636495.5438184504, 643146.1061832292,
+            -41921.74070433746, 30157.571487099933, 495592.6788402553, -83683.68014110028,
+            342440.01497212984, 159294.76642894305, 596479.2075147048, 284413.46413976036,
+            -342736.00944982836, -43746.939049759414, 535497.088820728, 174676.85382161973,
+            209207.95266975986, -338137.21716189827, -319132.38172325556, -397432.03312833334,
+            396754.16775234736, -518325.79696751083, 56759.04943998828,
+        ],
+        19244644.283740755,
+        651899.931550451,
+    ),
+]
+
+
+class TestScaleRelativeRule:
+    def test_outlier_rows_pass_and_moved_mass_fails(self):
+        moved = 0
+        for inp in _outlier_rows(300):
+            res = project_capped_box(inp)
+            ref = _bisection_projection(inp.y, inp.s, inp.t)
+            assert _close_to(res.x, ref, inp), inp.y.tolist()
+            assert certify_result(inp, res)[1].passed, inp.y.tolist()
+            assert certify(inp, res.x)[1].passed, inp.y.tolist()
+            inner = np.flatnonzero((res.x > 1e-5) & (res.x < 1.0 - 1e-5))
+            if inner.size < 2:
+                continue
+            bad = res.x.copy()
+            bad[inner[0]] += 1e-6
+            bad[inner[-1]] -= 1e-6
+            assert not certify_result(inp, dataclasses.replace(res, x=bad))[1].passed
+            assert not certify(inp, bad)[1].passed
+            moved += 1
+        assert moved >= 200
+
+    @pytest.mark.parametrize("y, s, t", LARGE_CAP_CASES)
+    def test_large_cap_answers_pass(self, y, s, t):
+        inp = ProjectionInput(y, s, t)
+        res = project_capped_box(inp)
+        assert _close_to(res.x, _bisection_projection(inp.y, s, t), inp)
+        _, report = certify_result(inp, res)
+        assert report.sum_residual > 1e-8  # over an absolute 1e-8, within 1e-8 * s
+        assert report.passed
+
+    def test_unit_scale_keeps_the_absolute_meaning(self):
+        # |y| <= 0.5, t = 1 and gamma < 1: every scale is 1, so 2 * tol fails
+        inp = ProjectionInput(np.array([0.3, -0.2, 0.1, 0.05]), 0.9)
+        res = project_capped_box(inp)
+        assert res.partition.b - res.partition.a >= 2 and abs(res.gamma) < 1.0
+        bad = res.x.copy()
+        inner = np.flatnonzero(~(res.at_zero | res.at_cap))
+        bad[inner[0]] += 2e-8
+        bad[inner[1]] -= 2e-8
+        assert certify_result(inp, res)[1].passed
+        assert not certify_result(inp, dataclasses.replace(res, x=bad))[1].passed
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [0.2 + 1e-6, 0.5, 1.5],  # alpha_0 = -(y_0 + gamma) = -1e-6
+            [-0.5, 0.5, 1.2 - 1e-6],  # beta_2 = y_2 + gamma - 1 = -1e-6
+        ],
+    )
+    def test_a_negative_multiplier_fails_on_its_own(self, y):
+        # x is stationary with the forced multipliers, sums to s and sits in
+        # the box; only the sign of one multiplier is wrong
+        inp = ProjectionInput(y, 1.3)
+        x = np.array([0.0, 0.3, 1.0])
+        cert = recover_multipliers(inp.y, x, -0.2, _blocks([1, 0, 0], [0, 0, 1]))
+        report = kkt_residuals(inp, x, cert)
+        assert abs(report.dual_residual - 1e-6) <= 1e-12
+        assert report.stationarity_residual <= 1e-15 and report.cs_residual == 0.0
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "alpha_0, x_0, passes",
+        [
+            (1.0, 1e-7, False),  # |alpha_0 * x_0| = 1e-7 against 1e-8 * t * 1
+            (1e4, 1e-11, True),  # 1e-7 against 1e-8 * t * |y_0| = 1e-4
+        ],
+    )
+    def test_complementary_slackness_at_the_multipliers_scale(self, alpha_0, x_0, passes):
+        # stationary, feasible and dual feasible; only alpha_0 * x_0 != 0
+        y = np.array([x_0 - alpha_0, 0.5])
+        x = np.array([x_0, 0.5])
+        inp = ProjectionInput(y, float(x.sum()))
+        report = kkt_residuals(inp, x, KktCertificate(np.array([alpha_0, 0.0]), np.zeros(2), 0.0))
+        assert report.cs_residual == alpha_0 * x_0
+        assert report.passed is passes
+
+    def test_the_sum_is_judged_at_the_scale_of_s(self):
+        rng = np.random.default_rng(12)
+        inp = ProjectionInput(rng.random(10_000) - 0.5, 5_000.0)
+        for excess, passes in ((2e-5, True), (1e-4, False)):
+            # the projection for a slightly larger s: optimal but for the sum
+            res = project_capped_box(ProjectionInput(inp.y, inp.s + excess))
+            _, report = certify_result(inp, res)
+            assert abs(report.sum_residual - excess) <= 1e-9
+            assert report.passed is passes
+
+
+def _reference_multipliers(y, gamma, zero, one, cap):
+    # the forced multipliers as whole-array expressions, the blocked pass's reference
+    shifted = y + gamma
+    return -shifted * zero, (shifted - cap) * one
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _reference_bits(inp, x, alpha, beta, gamma):
+    # the six report fields as whole-array expressions, bit for bit
+    t = inp.t
+    return _bits(
+        (
+            np.max(np.abs(x - inp.y - alpha + beta - gamma)),
+            max(0.0, float(-x.min())),
+            max(0.0, float(x.max() - t)),
+            abs(float(x.sum()) - inp.s),
+            max(0.0, float(-alpha.min()), float(-beta.min())),
+            max(float(np.max(np.abs(alpha * x))), float(np.max(np.abs(beta * (t - x))))),
+        )
+    )
+
+
+def _report_bits(report):
+    return _bits(
+        (
+            report.stationarity_residual,
+            report.primal_lower,
+            report.primal_upper,
+            report.sum_residual,
+            report.dual_residual,
+            report.cs_residual,
+        )
+    )
+
+
+EDGE_D = 3 * (1 << 14) + 5  # three full blocks of the pass and a partial one
+
+
+@pytest.fixture(scope="module")
+def edge_case():
+    # the partial last block holds one coordinate of each kind: pinned at 0,
+    # pinned at the cap and interior (twice)
+    rng = np.random.default_rng(77)
+    y = rng.random(EDGE_D) - 0.5
+    y[-5:] = [-3.0, 3.0, 0.1, -3.0, 0.2]
+    inp = ProjectionInput(y, 0.5 * EDGE_D, 1.0)
+    res = project_capped_box(inp)
+    assert res.at_zero[-5] and res.at_cap[-4] and not (res.at_zero[-3] or res.at_cap[-3])
+    return inp, res
+
+
+class TestBlockEdges:
+    def test_certify_result_matches_the_whole_array_formulas(self, edge_case):
+        inp, res = edge_case
+        cert, report = certify_result(inp, res)
+        alpha, beta = _reference_multipliers(inp.y, res.gamma, res.at_zero, res.at_cap, inp.t)
+        assert _report_bits(report) == _reference_bits(inp, res.x, alpha, beta, res.gamma)
+        assert cert.alpha.tobytes() == alpha.tobytes()
+        assert cert.beta.tobytes() == beta.tobytes()
+
+    def test_certify_matches_the_whole_array_formulas(self, edge_case):
+        inp, res = edge_case
+        x = res.x.copy()
+        x[-3] = 3e-8  # an interior entry classified as pinned at 0: alpha < 0 there
+        cert, report = certify(inp, x)
+        ctol = 1e-7
+        zero = x <= ctol
+        one = (x >= inp.t - ctol) & ~zero
+        interior = (x > ctol) & (x < inp.t - ctol)
+        assert cert.gamma == float(np.mean(x[interior] - inp.y[interior]))
+        alpha, beta = _reference_multipliers(inp.y, cert.gamma, zero, one, inp.t)
+        assert _report_bits(report) == _reference_bits(inp, x, alpha, beta, cert.gamma)
+        assert report.dual_residual > 0.0
+        assert cert.alpha.tobytes() == alpha.tobytes()
+
+    def test_kkt_residuals_matches_the_whole_array_formulas(self, edge_case):
+        inp, res = edge_case
+        rng = np.random.default_rng(5)
+        alpha = rng.random(EDGE_D) * 1e-3
+        beta = rng.random(EDGE_D) * 1e-3
+        alpha[-1], beta[-2] = -0.25, 0.75  # the largest terms sit in the partial block
+        cert = KktCertificate(alpha, beta, res.gamma)
+        report = kkt_residuals(inp, res.x, cert)
+        assert _report_bits(report) == _reference_bits(inp, res.x, alpha, beta, res.gamma)
+        assert report.dual_residual == 0.25
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "misfit, message",
+        [
+            ("overlap", "both pinned blocks"),
+            ("zero", "claimed zero block"),
+            ("cap", "claimed pinned block"),
+            ("interior", "claimed interior"),
+        ],
+    )
+    def test_misfit_in_the_partial_block_raises(self, edge_case, misfit, message):
+        inp, res = edge_case
+        at_zero, at_cap, x = res.at_zero.copy(), res.at_cap.copy(), res.x.copy()
+        # move one claim into the partial block, so the block sizes still match
+        if misfit == "overlap":
+            at_cap[np.flatnonzero(at_cap)[0]], at_cap[-5] = False, True
+        elif misfit == "zero":
+            at_zero[np.flatnonzero(at_zero)[0]], at_zero[-3] = False, True
+        elif misfit == "cap":
+            at_cap[np.flatnonzero(at_cap)[0]], at_cap[-3] = False, True
+        else:
+            x[-3] = 1.5
+        bad = dataclasses.replace(res, x=x, at_zero=at_zero, at_cap=at_cap)
+        with pytest.raises(InconsistentCandidateError, match=message):
+            certify_result(inp, bad)
+
+
+def test_certify_result_peak_memory_stays_under_one_mib():
+    # the multipliers are built only when read, and the pass keeps a few
+    # buffers of 2^14 entries; whole-array temporaries would peak at 8 MiB
+    rng = np.random.default_rng(3)
+    d = 1 << 18
+    inp = ProjectionInput(rng.random(d) - 0.5, 0.7 * d)
+    res = project_capped_box(inp)
+    certify_result(inp, res)
+    tracemalloc.start()
+    try:
+        _, report = certify_result(inp, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 1 << 20, peak

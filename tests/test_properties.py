@@ -15,7 +15,6 @@ from cappedproj import (
     project_capped_simplex,
     project_simplex,
 )
-from cappedproj.kkt import feasibility_check
 
 
 def _random_case(rng, max_d=50):
@@ -47,7 +46,8 @@ class TestFeasibility:
         for _ in range(500):
             y, s = _random_case(rng)
             x = project_capped_simplex(ProjectionInput(y, s)).x
-            assert feasibility_check(x, s, 1e-8)
+            assert x.min() >= -1e-8 and x.max() <= 1.0 + 1e-8
+            assert abs(float(x.sum()) - s) <= 1e-8
 
 
 class TestIdempotency:
