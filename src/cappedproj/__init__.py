@@ -41,8 +41,6 @@ from .kkt import (
     KktReport,
     certify,
     certify_result,
-    kkt_residuals,
-    recover_multipliers,
 )
 from .oracle import (
     GENERATOR_ID,
@@ -92,13 +90,11 @@ __all__ = [
     "clamp_upper",
     "dykstra_project",
     "enumerate_oracle",
-    "kkt_residuals",
     "project_capped_box",
     "project_capped_simplex",
     "project_simplex",
     "random_instance",
     "read_records",
-    "recover_multipliers",
     "run_benchmark",
     "sort_with_permutation",
     "summarize",

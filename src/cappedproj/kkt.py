@@ -13,11 +13,13 @@ beta_i = y_i + gamma - t on coordinates pinned at t, zero elsewhere.
 
 A certificate is one pass over y, x, gamma and the two block masks, in
 blocks of 2^14 entries.  Per block it forces the multipliers into small
-buffers, checks the claimed blocks against x and keeps the running extremes
-of every residual; only ``x.min()``, ``x.max()`` and ``x.sum()`` read the
-whole of x.  No array of the size of y is built: the certificate keeps what
-forces the multipliers and builds ``alpha`` and ``beta`` when they are first
-read.
+buffers, counts the entries where the claimed blocks misfit x and keeps the
+running extremes of every residual; only ``x.min()``, ``x.max()`` and
+``x.sum()`` read the whole of x.  The multipliers are always the forced
+ones: ``certify_result`` forces them on the blocks the solver reports,
+``certify`` on blocks it reads off the candidate.  No array of the size of y
+is built: a ``KktCertificate`` keeps what forces the multipliers and builds
+``alpha`` and ``beta`` when they are first read.
 """
 
 from __future__ import annotations
@@ -57,23 +59,15 @@ def _force(y, gamma, zero, one, cap, alpha, beta) -> None:
 class KktCertificate:
     """Multipliers for the bounds (alpha, beta) and the sum constraint (gamma).
 
-    Built from arrays, it holds them.  The certificates that
-    ``recover_multipliers``, ``certify`` and ``certify_result`` return hold
-    what forces the multipliers instead (y, gamma, the block masks and the
-    cap) and build ``alpha`` and ``beta`` when either is first read.
+    Holds what forces them: y, gamma, the masks of the coordinates pinned at
+    0 and at the cap, and the cap.  ``alpha`` and ``beta`` are built when
+    either is first read: ``alpha = -(y + gamma)`` on the zero block and
+    ``beta = y + gamma - cap`` on the cap block, 0 elsewhere.
     """
 
-    def __init__(self, alpha, beta, gamma):
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-
-    @classmethod
-    def _forced(cls, y, gamma, zero, one, cap) -> KktCertificate:
-        cert = cls.__new__(cls)
-        cert.gamma = float(gamma)
-        cert._forced_by = (y, zero, one, cap)
-        return cert
+    def __init__(self, y, gamma, at_zero, at_cap, cap):
+        self.gamma = float(gamma)
+        self._forced_by = (y, at_zero, at_cap, cap)
 
     @cached_property
     def _multipliers(self):
@@ -82,11 +76,11 @@ class KktCertificate:
         _force(y, self.gamma, zero, one, cap, alpha, beta)
         return alpha, beta
 
-    @cached_property
+    @property
     def alpha(self) -> np.ndarray:
         return self._multipliers[0]
 
-    @cached_property
+    @property
     def beta(self) -> np.ndarray:
         return self._multipliers[1]
 
@@ -129,19 +123,13 @@ class KktReport:
         )
 
 
-def _check_blocks(x, zero, one, cap) -> None:
-    # raises on the first of the four ways the claimed blocks can misfit x
-    ctol = DEFAULT_CLASSIFY_TOL
-    if (zero & one).any():
-        raise InconsistentCandidateError("a coordinate is claimed by both pinned blocks")
-    if (np.abs(x[zero]) > ctol).any():
-        raise InconsistentCandidateError("candidate has nonzero entries in its claimed zero block")
-    if (np.abs(x[one] - cap) > ctol).any():
-        raise InconsistentCandidateError("candidate is off the cap in its claimed pinned block")
-    # the blocks sit within ctol of 0 and cap by now, so only an interior
-    # entry can leave [-ctol, cap + ctol]
-    if x.size and (x.min() < -ctol or x.max() > cap + ctol):
-        raise InconsistentCandidateError("candidate leaves [0, cap] in its claimed interior")
+# the ways the claimed blocks can misfit x that the pass counts, in the
+# order they are reported; an interior entry outside [0, cap] comes after
+_MISFITS = (
+    "a coordinate is claimed by both pinned blocks",
+    "candidate has nonzero entries in its claimed zero block",
+    "candidate is off the cap in its claimed pinned block",
+)
 
 
 def _classify(x, cap):
@@ -157,69 +145,55 @@ def _candidate(inp, x):
     return x
 
 
-def _masks(blocks, shape):
-    zero, one = (np.asarray(m, dtype=bool) for m in blocks)
-    if zero.shape != shape or one.shape != shape:
-        raise InvalidInputError(f"block masks must have the dimension {shape[0]}")
-    return zero, one
-
-
-def _count_misfits(x, zero, one, cap, work, flag, loose) -> tuple[int, int]:
-    # (both, loose): how many entries both blocks claim, and how many sit more
-    # than the classification slack from the bound they are claimed at.  On
-    # the zero block only x > slack is counted: x < -slack fails the range
-    # check on x.min() as well, and _check_blocks then names the failure.
+def _count_misfits(x, zero, one, cap, work, flag) -> tuple[int, int, int]:
+    # one count per entry of _MISFITS: entries both blocks claim, and entries
+    # more than the classification slack from the bound they are claimed at
     ctol = DEFAULT_CLASSIFY_TOL
-    np.greater(x, ctol, out=loose)
-    loose &= zero
+    both = np.count_nonzero(np.logical_and(zero, one, out=flag))
+    np.abs(x, out=work)
+    np.greater(work, ctol, out=flag)
+    off_zero = np.count_nonzero(np.logical_and(flag, zero, out=flag))
     np.subtract(x, cap, out=work)
     np.abs(work, out=work)
     np.greater(work, ctol, out=flag)
-    flag &= one
-    loose |= flag
-    return np.count_nonzero(np.logical_and(zero, one, out=flag)), np.count_nonzero(loose)
+    off_cap = np.count_nonzero(np.logical_and(flag, one, out=flag))
+    return both, off_zero, off_cap
 
 
-def _measure(inp, x, gamma, tol, masks=None, multipliers=None, check=False) -> KktReport:
+def _measure(inp, x, gamma, zero, one, tol, check) -> KktReport:
     """The residual report of (x, gamma) on inp from one pass over blocks.
 
-    The multipliers are forced from ``masks`` into per-block buffers, or read
-    from ``multipliers``, a pair of arrays.  With ``check``, the masks are
-    checked against x in the same pass, and a misfit raises
-    ``InconsistentCandidateError``.  Reductions call the ufuncs directly:
-    ``a.max()`` costs twice as much on short blocks.
+    The multipliers are forced from the masks ``zero`` and ``one`` into
+    per-block buffers.  With ``check``, the masks are checked against x in
+    the same pass, and a misfit raises ``InconsistentCandidateError``.
+    Reductions call the ufuncs directly: ``a.max()`` costs twice as much on
+    short blocks.
     """
+    if not 0.0 < tol < np.inf:
+        raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
     y, t = inp.y, inp.t
     d = y.size
     n = min(d, _BLOCK)
+    alpha_buf, beta_buf = np.empty(n), np.empty(n)
     stat_r, cs_r, work = np.empty(n), np.empty(n), np.empty(n)
     flag = np.empty(n, dtype=bool)
-    if multipliers is None:
-        alpha_buf, beta_buf = np.empty(n), np.empty(n)
-        loose_buf = np.empty(n, dtype=bool)
     # coordinate i passes when its residual is within tol * max(c, |y_i|);
     # a block whose largest residual is within tol * c needs no finer look
     c = max(t, abs(gamma))
     fast = tol * c
     stat = cs = 0.0
     alpha_min = beta_min = np.inf
-    n_both = n_loose = 0
+    misfits = np.zeros(len(_MISFITS), dtype=np.intp)
     within = True
     for i in range(0, d, _BLOCK):
         j = min(i + _BLOCK, d)
         m = j - i
-        xb, yb = x[i:j], y[i:j]
+        xb, yb, zb, cb = x[i:j], y[i:j], zero[i:j], one[i:j]
+        ab, bb = alpha_buf[:m], beta_buf[:m]
         rs, rc, w, f = stat_r[:m], cs_r[:m], work[:m], flag[:m]
-        if multipliers is None:
-            ab, bb = alpha_buf[:m], beta_buf[:m]
-            zb, cb = masks[0][i:j], masks[1][i:j]
-            _force(yb, gamma, zb, cb, t, ab, bb)
-            if check:
-                k_both, k_loose = _count_misfits(xb, zb, cb, t, w, f, loose_buf[:m])
-                n_both += k_both
-                n_loose += k_loose
-        else:
-            ab, bb = multipliers[0][i:j], multipliers[1][i:j]
+        _force(yb, gamma, zb, cb, t, ab, bb)
+        if check:
+            misfits += _count_misfits(xb, zb, cb, t, w, f)
         # the order of the whole-array expressions in the KktReport docstring,
         # so every field is bitwise what they give
         np.subtract(xb, yb, out=rs)
@@ -252,10 +226,15 @@ def _measure(inp, x, gamma, tol, masks=None, multipliers=None, check=False) -> K
             within = within and np.count_nonzero(np.greater_equal(ab, w, out=f)) == m
             within = within and np.count_nonzero(np.greater_equal(bb, w, out=f)) == m
     x_min, x_max = np.minimum.reduce(x), np.maximum.reduce(x)
-    ctol = DEFAULT_CLASSIFY_TOL
-    if check and (n_both or n_loose or x_min < -ctol or x_max > t + ctol):
-        # a check fails: the whole-array checks name the first that does
-        _check_blocks(x, *masks, t)
+    if check:
+        for count, message in zip(misfits, _MISFITS):
+            if count:
+                raise InconsistentCandidateError(message)
+        # the blocks sit within the slack of 0 and cap by now, so only an
+        # interior entry can leave [-slack, cap + slack]
+        ctol = DEFAULT_CLASSIFY_TOL
+        if x_min < -ctol or x_max > t + ctol:
+            raise InconsistentCandidateError("candidate leaves [0, cap] in its claimed interior")
     lower = max(0.0, float(-x_min))
     upper = max(0.0, float(x_max - t))
     ssum = abs(float(np.add.reduce(x)) - inp.s)
@@ -274,65 +253,18 @@ def _measure(inp, x, gamma, tol, masks=None, multipliers=None, check=False) -> K
     )
 
 
-def recover_multipliers(
-    y,
-    x,
-    gamma: float,
-    blocks: tuple | None = None,
-    *,
-    cap: float = 1.0,
-) -> KktCertificate:
-    """Bound multipliers forced by stationarity for a candidate (x, gamma).
-
-    ``blocks`` is a pair ``(at_zero, at_cap)`` of boolean masks in the order
-    of y: the coordinates claimed pinned at 0 and at cap.  They are taken as
-    given after a consistency check; without them, coordinates within
-    ``DEFAULT_CLASSIFY_TOL`` of a bound are classified as pinned there.
-    Entries pinned at 0 get alpha_i = -(y_i + gamma); entries pinned at cap
-    get beta_i = y_i + gamma - cap.  The recovered values may be negative, which
-    the residual check will expose; recovery itself never hides a violation.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if y.shape != x.shape or y.ndim != 1:
-        raise InvalidInputError("y and x must be one-dimensional vectors of equal length")
-    if blocks is None:
-        zero, one = _classify(x, cap)
-    else:
-        zero, one = _masks(blocks, y.shape)
-        _check_blocks(x, zero, one, cap)
-    return KktCertificate._forced(y, gamma, zero, one, cap)
-
-
-def kkt_residuals(
-    inp: ProjectionInput, x, cert: KktCertificate, tol: float = DEFAULT_TOL
-) -> KktReport:
-    """Residuals of the full first-order system for (x, cert) on inp."""
-    x = _candidate(inp, x)
-    if cert.alpha.shape != x.shape or cert.beta.shape != x.shape:
-        raise InvalidInputError("certificate multipliers must match the dimension")
-    return _measure(inp, x, cert.gamma, tol, multipliers=(cert.alpha, cert.beta))
-
-
 def _estimate_gamma(y, x, cap, zero, one):
     # stationarity on interior coordinates reads x = y + gamma; average the
     # per-coordinate estimates (sum / count is np.mean without its overhead),
-    # or fall back to the pinned groups' interval
-    ctol = DEFAULT_CLASSIFY_TOL
+    # or fall back to the pinned groups' interval, which the all-pinned
+    # candidate always has an end of
     shifts = (x - y)[~(zero | one)]
     if shifts.size:
         return float(shifts.sum() / shifts.size)
-    ones = x >= cap - ctol
-    zeros = x <= ctol
-    lower = cap - float(y[ones].min()) if ones.any() else -np.inf
-    upper = -float(y[zeros].max()) if zeros.any() else np.inf
-    if np.isfinite(lower) and np.isfinite(upper):
-        return 0.5 * (lower + upper)
-    if np.isfinite(lower):
-        return lower
-    if np.isfinite(upper):
-        return upper
-    return 0.0
+    if not one.any():
+        return -float(y[zero].max())
+    lower = cap - float(y[one].min())
+    return 0.5 * (lower - float(y[zero].max())) if zero.any() else lower
 
 
 def certify(
@@ -344,16 +276,23 @@ def certify(
 ) -> tuple[KktCertificate, KktReport]:
     """Certificate and residual report for any candidate vector.
 
-    Works from the candidate alone: coordinates are classified against the
-    bounds with slack ``DEFAULT_CLASSIFY_TOL``, gamma is estimated from the
-    interior when not supplied, and every residual is measured at tolerance
-    tol in the same pass as ``certify_result``.
+    Works from the candidate alone.  Coordinates within
+    ``DEFAULT_CLASSIFY_TOL`` of a bound are classified as pinned there, and
+    gamma is estimated from the others when not supplied.  Once gamma is
+    known, a coordinate stays pinned only where the multiplier it forces is
+    nonnegative: at 0 if ``y + gamma <= 0``, at the cap if
+    ``y + gamma >= t``.  Every other coordinate is judged as interior, by
+    stationarity, so the dual residual is 0 by construction.  Every residual
+    is measured at tolerance tol in the same pass as ``certify_result``.
     """
     x = _candidate(inp, x)
-    masks = _classify(x, inp.t)
-    gamma = float(_estimate_gamma(inp.y, x, inp.t, *masks) if gamma is None else gamma)
-    report = _measure(inp, x, gamma, tol, masks)
-    return KktCertificate._forced(inp.y, gamma, *masks, inp.t), report
+    zero, one = _classify(x, inp.t)
+    gamma = float(_estimate_gamma(inp.y, x, inp.t, zero, one) if gamma is None else gamma)
+    shifted = inp.y + gamma
+    zero &= shifted <= 0.0
+    one &= shifted >= inp.t
+    report = _measure(inp, x, gamma, zero, one, tol, check=False)
+    return KktCertificate(inp.y, gamma, zero, one, inp.t), report
 
 
 def certify_result(
@@ -369,16 +308,18 @@ def certify_result(
     them and inside ``[0, cap]`` elsewhere; these checks run in the same pass
     as the residuals.
     """
+    x = _candidate(inp, res.x)
+    zero = np.asarray(res.at_zero, dtype=bool)
+    one = np.asarray(res.at_cap, dtype=bool)
+    if zero.shape != x.shape or one.shape != x.shape:
+        raise InvalidInputError(f"block masks must have the dimension {inp.dim}")
     p = res.partition
-    n_zero = np.count_nonzero(res.at_zero)
-    n_cap = np.count_nonzero(res.at_cap)
+    n_zero, n_cap = np.count_nonzero(zero), np.count_nonzero(one)
     if n_zero != p.a or n_cap != inp.dim - p.b:
         raise InconsistentCandidateError(
             f"blocks of sizes {n_zero} (zero) and {n_cap} (cap) do not match the "
             f"partition (a={p.a}, b={p.b}) at D={inp.dim}"
         )
-    x = _candidate(inp, res.x)
-    masks = _masks((res.at_zero, res.at_cap), inp.y.shape)
     gamma = float(res.gamma)
-    report = _measure(inp, x, gamma, tol, masks, check=True)
-    return KktCertificate._forced(inp.y, gamma, *masks, inp.t), report
+    report = _measure(inp, x, gamma, zero, one, tol, check=True)
+    return KktCertificate(inp.y, gamma, zero, one, inp.t), report

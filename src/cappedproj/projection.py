@@ -6,9 +6,10 @@ of ``0.5*||x - y||^2`` over this set consists of ``a`` zeros, then interior
 values ``y_k + gamma``, then ``D - b`` entries at the cap.  After one sort of
 the values the solver finds ``(a, b)`` by bisection over the kinks of the
 piecewise linear sum ``sum(clip(y + gamma, 0, t))``, solves ``gamma`` from
-the sum constraint, and checks the split with the optimality sign tests;
-multiplier recovery shows a split that passes them satisfies the full
-first-order system, so it is the minimizer.  A split that fails them raises
+the sum constraint, and checks the split with the optimality sign tests.
+They say the bound multipliers that stationarity forces on the split are
+nonnegative, so a split that passes them satisfies the full first-order
+system and is the minimizer.  A split that fails them raises
 instead of being returned.  The answer is built in the input order directly:
 a split never cuts a group of equal values, so each block is an exact
 comparison of y against one sorted value.

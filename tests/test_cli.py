@@ -113,6 +113,27 @@ class TestVerify:
         assert strict == 1 and loose == 0
 
 
+    def test_interior_value_next_to_the_cap_verifies(self, tmp_path, capsys):
+        # project's answer has 1 - 4e-8 in the interior, inside the 1e-7
+        # classification slack of the cap; verify must still accept it
+        y = tmp_path / "y.txt"
+        write_vector(y, [0.5, 1.0 - 4e-8, -2.0])
+        out = tmp_path / "x.txt"
+        s = repr(1.5 - 4e-8)
+        assert cli_dispatch(["project", "--s", s, "--input", str(y), "--output", str(out)]) == 0
+        code = cli_dispatch(["verify", "--s", s, "--input", str(out), "--against", str(y)])
+        assert code == 0
+        assert "passed true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_bad_tol_exits_3(self, vec_file, tmp_path, capsys, tol):
+        out = tmp_path / "x.txt"
+        cli_dispatch(["project", "--s", "2", "--input", vec_file, "--output", str(out)])
+        verify = ["verify", "--s", "2", "--input", str(out), "--against", vec_file]
+        assert cli_dispatch(verify + ["--tol", tol]) == 3
+        captured = capsys.readouterr()
+        assert "tol" in captured.err and "passed" not in captured.out
+
     def test_cap_flag(self, vec_file, tmp_path, capsys):
         out = tmp_path / "x.txt"
         project = ["project", "--s", "2", "--cap", "2", "--input", vec_file]

@@ -1,4 +1,4 @@
-"""Tests for multiplier recovery, residual measurement, and certification."""
+"""Tests for the forced multipliers, residual measurement, and certification."""
 
 import dataclasses
 import tracemalloc
@@ -11,101 +11,90 @@ from cappedproj import (
     InconsistentCandidateError,
     InstanceSpec,
     InvalidInputError,
-    KktCertificate,
     KktReport,
+    Partition,
     ProjectionInput,
+    ProjectionResult,
     certify,
     certify_result,
-    kkt_residuals,
     project_capped_box,
     project_capped_simplex,
     random_instance,
-    recover_multipliers,
 )
 
 
-def _blocks(at_zero, at_cap):
-    return np.array(at_zero, dtype=bool), np.array(at_cap, dtype=bool)
+def _result(x, gamma, at_zero, at_cap):
+    # a hand-built solver output: x with the blocks it claims, in input order
+    at_zero, at_cap = np.array(at_zero, dtype=bool), np.array(at_cap, dtype=bool)
+    d = at_zero.size
+    partition = Partition(int(at_zero.sum()), d - int(at_cap.sum()))
+    return ProjectionResult(np.array(x, dtype=float), gamma, partition, at_zero, at_cap)
+
+
+def _certify_given(y, x, gamma, at_zero, at_cap, t=1.0):
+    # certify_result on (x, gamma) with the given blocks, at s = sum(x)
+    res = _result(x, gamma, at_zero, at_cap)
+    return certify_result(ProjectionInput(y, float(res.x.sum()), t), res)
 
 
 class TestRecoverMultipliers:
+    """The multipliers a certificate forces from y, gamma and the blocks."""
+
     def test_pinned_coordinates_get_forced_values(self):
         # the blocks are masks in input order, which need not be sorted
-        cert = recover_multipliers(
-            np.array([3.0, -2.0, 0.5]),
-            np.array([1.0, 0.0, 0.5]),
-            0.0,
-            _blocks([0, 1, 0], [1, 0, 0]),
-        )
+        cert, report = _certify_given([3.0, -2.0, 0.5], [1.0, 0.0, 0.5], 0.0, [0, 1, 0], [1, 0, 0])
         npt.assert_allclose(cert.alpha, [0.0, 2.0, 0.0], atol=1e-15)
         npt.assert_allclose(cert.beta, [2.0, 0.0, 0.0], atol=1e-15)
         assert cert.gamma == 0.0
+        assert report.passed
 
     def test_all_interior_means_zero_multipliers(self):
         y = np.array([0.3, -0.1, 0.4])
-        x = y + 0.1
-        cert = recover_multipliers(y, x, 0.1, _blocks([0, 0, 0], [0, 0, 0]))
+        cert, report = _certify_given(y, y + 0.1, 0.1, [0, 0, 0], [0, 0, 0])
         npt.assert_array_equal(cert.alpha, np.zeros(3))
         npt.assert_array_equal(cert.beta, np.zeros(3))
+        assert report.passed
 
     def test_classification_path_without_partition(self):
-        cert = recover_multipliers(
-            np.array([0.3, -0.2, 1.5]), np.array([0.75, 0.25, 1.0]), 0.45
-        )
+        inp = ProjectionInput([0.3, -0.2, 1.5], 2.0)
+        cert, report = certify(inp, np.array([0.75, 0.25, 1.0]), 0.45)
+        assert cert.gamma == 0.45
         npt.assert_array_equal(cert.alpha, np.zeros(3))
         npt.assert_allclose(cert.beta, [0.0, 0.0, 0.95], atol=1e-12)
+        assert report.passed
 
     def test_inconsistent_zero_segment(self):
-        with pytest.raises(InconsistentCandidateError):
-            recover_multipliers(
-                np.array([-2.0, 0.5, 3.0]),
-                np.array([0.2, 0.5, 1.0]),
-                0.0,
-                _blocks([1, 0, 0], [0, 0, 1]),
-            )
+        with pytest.raises(InconsistentCandidateError, match="claimed zero block"):
+            _certify_given([-2.0, 0.5, 3.0], [0.2, 0.5, 1.0], 0.0, [1, 0, 0], [0, 0, 1])
 
     def test_inconsistent_one_segment(self):
-        with pytest.raises(InconsistentCandidateError):
-            recover_multipliers(
-                np.array([-2.0, 0.5, 3.0]),
-                np.array([0.0, 0.5, 0.7]),
-                0.0,
-                _blocks([1, 0, 0], [0, 0, 1]),
-            )
+        with pytest.raises(InconsistentCandidateError, match="claimed pinned block"):
+            _certify_given([-2.0, 0.5, 3.0], [0.0, 0.5, 0.7], 0.0, [1, 0, 0], [0, 0, 1])
 
     def test_interior_escaping_the_box(self):
-        with pytest.raises(InconsistentCandidateError):
-            recover_multipliers(
-                np.array([-2.0, 1.5, 3.0]),
-                np.array([0.0, 1.4, 1.0]),
-                0.0,
-                _blocks([1, 0, 0], [0, 0, 1]),
-            )
+        with pytest.raises(InconsistentCandidateError, match="claimed interior"):
+            _certify_given([-2.0, 1.5, 3.0], [0.0, 1.4, 1.0], 0.0, [1, 0, 0], [0, 0, 1])
 
     def test_overlapping_blocks(self):
-        with pytest.raises(InconsistentCandidateError):
-            recover_multipliers(
-                np.zeros(2), np.zeros(2), 0.0, _blocks([1, 0], [1, 0]), cap=1e-9
-            )
+        with pytest.raises(InconsistentCandidateError, match="both pinned blocks"):
+            _certify_given(np.zeros(2), np.zeros(2), 0.0, [1, 0], [1, 0], t=1e-9)
 
     def test_shape_validation(self):
+        inp = ProjectionInput(np.zeros(3), 0.0)
         with pytest.raises(InvalidInputError):
-            recover_multipliers(np.zeros(3), np.zeros(2), 0.0)
+            certify(inp, np.zeros(2))
+        res = _result(np.zeros(3), 0.0, [1, 1, 1], [0, 0, 0])
         with pytest.raises(InvalidInputError):
-            recover_multipliers(
-                np.zeros(3), np.zeros(3), 0.0, _blocks([1, 0, 0, 0, 0], [0, 0, 0, 0, 0])
-            )
+            certify_result(inp, dataclasses.replace(res, at_zero=np.ones(5, dtype=bool)))
 
     def test_general_cap(self):
-        cert = recover_multipliers(
-            np.array([-1.0, 0.2, 4.0]),
-            np.array([0.0, 0.7, 2.0]),
-            0.5,
-            _blocks([1, 0, 0], [0, 0, 1]),
-            cap=2.0,
+        # forced values in input order at t = 2: alpha at -1, beta at 4
+        cert, report = _certify_given(
+            [4.0, -1.0, 0.2], [2.0, 0.0, 0.7], 0.5, [0, 1, 0], [1, 0, 0], t=2.0
         )
-        npt.assert_allclose(cert.alpha, [0.5, 0.0, 0.0], atol=1e-15)
-        npt.assert_allclose(cert.beta, [0.0, 0.0, 2.5], atol=1e-15)
+        npt.assert_allclose(cert.alpha, [0.0, 0.5, 0.0], atol=1e-15)
+        npt.assert_allclose(cert.beta, [2.5, 0.0, 0.0], atol=1e-15)
+        assert report.passed
 
 
 class TestKktResiduals:
@@ -120,36 +109,24 @@ class TestKktResiduals:
     def test_sum_violation_is_reported(self):
         inp = ProjectionInput(np.array([0.3, -0.2, 1.5]), 2.0)
         res = project_capped_simplex(inp)
-        cert, _ = certify_result(inp, res)
         x = res.x.copy()
         x[1] += 0.1
-        report = kkt_residuals(inp, x, cert)
+        _, report = certify_result(inp, dataclasses.replace(res, x=x))
         assert abs(report.sum_residual - 0.1) <= 1e-12
         assert not report.passed
 
-    def test_clamped_guess_with_zero_multipliers(self):
-        y = np.array([1.7, -0.3, 0.4])
-        inp = ProjectionInput(y, 2.0)
-        x = np.clip(y, 0.0, 1.0)
-        zero_cert = KktCertificate(np.zeros(3), np.zeros(3), 0.0)
-        report = kkt_residuals(inp, x, zero_cert)
-        assert report.sum_residual == abs(x.sum() - 2.0)
-        assert not report.passed
-
     def test_negative_multiplier_shows_as_dual_residual(self):
-        inp = ProjectionInput(np.array([0.5, 0.5]), 1.0)
-        cert = KktCertificate(np.array([-0.2, 0.0]), np.zeros(2), 0.0)
-        report = kkt_residuals(inp, np.array([0.5, 0.5]), cert)
+        # y_0 + gamma = 0.2 > 0 on the zero block forces alpha_0 = -0.2
+        _, report = _certify_given([0.2, 0.5], [0.0, 0.5], 0.0, [1, 0], [0, 0])
         assert report.dual_residual == 0.2
+        assert not report.passed
 
     def test_length_mismatch(self):
         inp = ProjectionInput(np.array([0.5, 0.5]), 1.0)
-        cert = KktCertificate(np.zeros(2), np.zeros(2), 0.0)
         with pytest.raises(InvalidInputError):
-            kkt_residuals(inp, np.zeros(3), cert)
-        bad = KktCertificate(np.zeros(3), np.zeros(2), 0.0)
+            certify(inp, np.zeros(3))
         with pytest.raises(InvalidInputError):
-            kkt_residuals(inp, np.zeros(2), bad)
+            certify_result(inp, _result(np.full(3, 1 / 3), 0.0, [0, 0, 0], [0, 0, 0]))
 
     def test_report_fields_nonnegative(self):
         rng = np.random.default_rng(9)
@@ -165,6 +142,15 @@ class TestKktResiduals:
             "cs_residual",
         ):
             assert getattr(report, name) >= 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_a_bad_tolerance_is_refused(self, tol):
+        inp = ProjectionInput(np.array([0.3, -0.2, 1.5]), 2.0)
+        res = project_capped_simplex(inp)
+        with pytest.raises(InvalidInputError):
+            certify_result(inp, res, tol)
+        with pytest.raises(InvalidInputError):
+            certify(inp, res.x, tol=tol)
 
 
 class TestMaxResidual:
@@ -203,6 +189,17 @@ class TestCertify:
         x = np.array([0.75, 0.25 - 4e-8, 1.0 + 4e-8])
         _, report = certify(inp, x, tol=1e-6)
         assert report.passed
+
+    def test_interior_value_next_to_the_cap_stays_interior(self):
+        # x_1 sits 4e-8 under the cap, inside the classification slack, but
+        # y_1 + gamma < t would force beta_1 < 0, so x_1 is judged interior
+        inp = ProjectionInput([0.5, 1.0 - 4e-8, -2.0], 1.5 - 4e-8)
+        res = project_capped_box(inp)
+        npt.assert_array_equal(res.x, [0.5, 1.0 - 4e-8, 0.0])
+        assert certify_result(inp, res)[1].passed
+        cert, report = certify(inp, res.x)
+        assert report.passed and report.dual_residual == 0.0
+        npt.assert_array_equal(cert.beta, np.zeros(3))
 
 
 class TestCertifyResult:
@@ -357,10 +354,7 @@ class TestScaleRelativeRule:
     def test_a_negative_multiplier_fails_on_its_own(self, y):
         # x is stationary with the forced multipliers, sums to s and sits in
         # the box; only the sign of one multiplier is wrong
-        inp = ProjectionInput(y, 1.3)
-        x = np.array([0.0, 0.3, 1.0])
-        cert = recover_multipliers(inp.y, x, -0.2, _blocks([1, 0, 0], [0, 0, 1]))
-        report = kkt_residuals(inp, x, cert)
+        _, report = _certify_given(y, [0.0, 0.3, 1.0], -0.2, [1, 0, 0], [0, 0, 1])
         assert abs(report.dual_residual - 1e-6) <= 1e-12
         assert report.stationarity_residual <= 1e-15 and report.cs_residual == 0.0
         assert not report.passed
@@ -373,11 +367,11 @@ class TestScaleRelativeRule:
         ],
     )
     def test_complementary_slackness_at_the_multipliers_scale(self, alpha_0, x_0, passes):
-        # stationary, feasible and dual feasible; only alpha_0 * x_0 != 0
-        y = np.array([x_0 - alpha_0, 0.5])
-        x = np.array([x_0, 0.5])
-        inp = ProjectionInput(y, float(x.sum()))
-        report = kkt_residuals(inp, x, KktCertificate(np.array([alpha_0, 0.0]), np.zeros(2), 0.0))
+        # y_0 = -alpha_0 at gamma = 0 forces alpha_0; feasible and dual
+        # feasible, and x_0 != 0 on the zero block, which also leaves a
+        # stationarity residual of |x_0|
+        cert, report = _certify_given([-alpha_0, 0.5], [x_0, 0.5], 0.0, [1, 0], [0, 0])
+        assert cert.alpha[0] == alpha_0
         assert report.cs_residual == alpha_0 * x_0
         assert report.passed is passes
 
@@ -458,29 +452,22 @@ class TestBlockEdges:
     def test_certify_matches_the_whole_array_formulas(self, edge_case):
         inp, res = edge_case
         x = res.x.copy()
-        x[-3] = 3e-8  # an interior entry classified as pinned at 0: alpha < 0 there
+        # an interior entry within the classification slack of 0: it would
+        # force alpha < 0 there, so it is judged interior and fails stationarity
+        x[-3] = 3e-8
         cert, report = certify(inp, x)
         ctol = 1e-7
-        zero = x <= ctol
-        one = (x >= inp.t - ctol) & ~zero
         interior = (x > ctol) & (x < inp.t - ctol)
         assert cert.gamma == float(np.mean(x[interior] - inp.y[interior]))
+        shifted = inp.y + cert.gamma
+        zero = (x <= ctol) & (shifted <= 0.0)
+        one = (x >= inp.t - ctol) & ~(x <= ctol) & (shifted >= inp.t)
+        assert not zero[-3]
         alpha, beta = _reference_multipliers(inp.y, cert.gamma, zero, one, inp.t)
         assert _report_bits(report) == _reference_bits(inp, x, alpha, beta, cert.gamma)
-        assert report.dual_residual > 0.0
+        assert report.dual_residual == 0.0
+        assert report.stationarity_residual >= 0.1 and not report.passed
         assert cert.alpha.tobytes() == alpha.tobytes()
-
-    def test_kkt_residuals_matches_the_whole_array_formulas(self, edge_case):
-        inp, res = edge_case
-        rng = np.random.default_rng(5)
-        alpha = rng.random(EDGE_D) * 1e-3
-        beta = rng.random(EDGE_D) * 1e-3
-        alpha[-1], beta[-2] = -0.25, 0.75  # the largest terms sit in the partial block
-        cert = KktCertificate(alpha, beta, res.gamma)
-        report = kkt_residuals(inp, res.x, cert)
-        assert _report_bits(report) == _reference_bits(inp, res.x, alpha, beta, res.gamma)
-        assert report.dual_residual == 0.25
-        assert not report.passed
 
     @pytest.mark.parametrize(
         "misfit, message",

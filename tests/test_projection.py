@@ -1,5 +1,8 @@
 """Tests for the exact solver: helpers, golden instances, oracle agreement."""
 
+import bisect
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -316,6 +319,34 @@ def test_wrong_split_raises(monkeypatch):
     monkeypatch.setattr(projection, "_kink_search", lambda ys, prefix, s, t: (0, 3))
     with pytest.raises(InconsistentCandidateError):
         project_capped_simplex(ProjectionInput([-2.0, 0.5, 3.0], 1.5))
+
+
+def test_search_work_stays_within_two_bisections(monkeypatch):
+    # each block edge is one bisection over at most D kinks, so a solve
+    # evaluates f at most 2 * ceil(log2(D + 1)) times, ties or not
+    calls = 0
+
+    def counting_bisect_left(*args, key, **kwargs):
+        def counted(k):
+            nonlocal calls
+            calls += 1
+            return key(k)
+
+        return bisect.bisect_left(*args, key=counted, **kwargs)
+
+    monkeypatch.setattr(projection, "bisect_left", counting_bisect_left)
+    rng = np.random.default_rng(23)
+    at_bound = 0
+    for d in (1, 2, 3, 5, 8, 17, 64, 255, 256, 1000, 4096, 65535, 100_000):
+        bound = 2 * math.ceil(math.log2(d + 1))
+        for ties in (False, True):
+            y = rng.integers(0, 4, d) / 4.0 if ties else rng.normal(size=d)
+            for s in (float(rng.integers(0, d + 1)), float(rng.uniform(0.0, d))):
+                calls = 0
+                project_capped_simplex(ProjectionInput(y, s))
+                assert calls <= bound, (d, ties, s, calls)
+                at_bound += calls == bound
+    assert at_bound > 0  # the count is live, and the bound is tight
 
 
 class TestProjectCappedBox:
