@@ -375,6 +375,16 @@ class TestScaleRelativeRule:
         assert report.cs_residual == alpha_0 * x_0
         assert report.passed is passes
 
+    def test_complementary_slackness_fails_on_its_own(self):
+        # alpha_0 = 100 forced as above; |x_0| = 5e-8 keeps stationarity within
+        # 1e-8 * |y_0| = 1e-6, and |alpha_0 * x_0| = 5e-6 is over 1e-8 * t * |y_0|
+        _, report = _certify_given([-100.0, 0.5], [5e-8, 0.5], 0.0, [1, 0], [0, 0])
+        assert report.stationarity_residual <= 1e-8 * 100.0
+        assert report.dual_residual == 0.0 and report.sum_residual == 0.0
+        assert report.primal_lower == 0.0 and report.primal_upper == 0.0
+        assert report.cs_residual == 100.0 * 5e-8
+        assert not report.passed
+
     def test_the_sum_is_judged_at_the_scale_of_s(self):
         rng = np.random.default_rng(12)
         inp = ProjectionInput(rng.random(10_000) - 0.5, 5_000.0)
