@@ -113,13 +113,18 @@ class KktReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.stationarity_residual,
-            self.primal_lower,
-            self.primal_upper,
-            self.sum_residual,
-            self.dual_residual,
-            self.cs_residual,
+        # a ufunc, not max, so that a NaN field makes the maximum NaN
+        return float(
+            np.maximum.reduce(
+                [
+                    self.stationarity_residual,
+                    self.primal_lower,
+                    self.primal_upper,
+                    self.sum_residual,
+                    self.dual_residual,
+                    self.cs_residual,
+                ]
+            )
         )
 
 
@@ -158,6 +163,17 @@ def _count_misfits(x, zero, one, cap, work, flag) -> tuple[int, int, int]:
     np.greater(work, ctol, out=flag)
     off_cap = np.count_nonzero(np.logical_and(flag, one, out=flag))
     return both, off_zero, off_cap
+
+
+# max and min of two scalars that return NaN when either is NaN, which the
+# builtins drop when it comes second; a ufunc call on two scalars costs
+# several times as much
+def _max(a, b):
+    return a if a >= b or a != a else b
+
+
+def _min(a, b):
+    return a if a <= b or a != a else b
 
 
 def _measure(inp, x, gamma, zero, one, tol, check) -> KktReport:
@@ -209,8 +225,8 @@ def _measure(inp, x, gamma, zero, one, tol, check) -> KktReport:
         np.maximum(rc, w, out=rc)
         top_s, top_c = np.maximum.reduce(rs), np.maximum.reduce(rc)
         a_min, b_min = np.minimum.reduce(ab), np.minimum.reduce(bb)
-        stat, cs = max(stat, top_s), max(cs, top_c)
-        alpha_min, beta_min = min(alpha_min, a_min), min(beta_min, b_min)
+        stat, cs = _max(stat, top_s), _max(cs, top_c)
+        alpha_min, beta_min = _min(alpha_min, a_min), _min(beta_min, b_min)
         if within and not (
             top_s <= fast and top_c <= fast * t and -a_min <= fast and -b_min <= fast
         ):
@@ -235,10 +251,10 @@ def _measure(inp, x, gamma, zero, one, tol, check) -> KktReport:
         ctol = DEFAULT_CLASSIFY_TOL
         if x_min < -ctol or x_max > t + ctol:
             raise InconsistentCandidateError("candidate leaves [0, cap] in its claimed interior")
-    lower = max(0.0, float(-x_min))
-    upper = max(0.0, float(x_max - t))
+    lower = float(_max(0.0, -x_min))
+    upper = float(_max(0.0, x_max - t))
     ssum = abs(float(np.add.reduce(x)) - inp.s)
-    dual = max(0.0, float(-alpha_min), float(-beta_min))
+    dual = float(_max(_max(0.0, -alpha_min), -beta_min))
     passed = (
         within and lower <= tol * t and upper <= tol * t and ssum <= tol * max(t, inp.s)
     )

