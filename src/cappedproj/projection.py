@@ -7,14 +7,14 @@ values ``y_k + gamma``, then ``D - b`` entries at the cap.  After one sort of
 the values the solver finds ``(a, b)`` among the kinks of the piecewise
 linear sum ``f(gamma) = sum(clip(y + gamma, 0, t))``, probing where a Newton
 step on f predicts each edge: about 5 evaluations of f per solve, at most
-``2*ceil(log2(D+1)) + 12``.  It then solves ``gamma`` from the sum
-constraint and checks the split with the optimality sign tests.  They say
-the bound multipliers that stationarity forces on the split are
-nonnegative, so a split that passes them satisfies the full first-order
-system and is the minimizer.  A split that fails them raises
-instead of being returned.  The answer is built in the input order directly:
-a split never cuts a group of equal values, so each block is an exact
-comparison of y against one sorted value.
+``2*ceil(log2(D+1)) + 12``, each summing the interior directly, in
+``O(log D + interior)``.  It then solves ``gamma`` from the sum constraint and
+checks the split with the optimality sign tests.  They say the bound
+multipliers that stationarity forces on the split are nonnegative, so a split
+that passes them satisfies the full first-order system and is the minimizer.
+A split that fails them raises instead of being returned.  The answer is built
+in the input order directly: a split never cuts a group of equal values, so
+each block is an exact comparison of y against one sorted value.
 """
 
 from __future__ import annotations
@@ -116,12 +116,6 @@ class ProjectionResult:
     fallback: bool = False
 
 
-def _prefix_sums(ys: np.ndarray) -> np.ndarray:
-    prefix = np.zeros(ys.size + 1)
-    np.cumsum(ys, out=prefix[1:])
-    return prefix
-
-
 def sort_with_permutation(y) -> SortedInstance:
     """Stable ascending sort of y together with its permutation and prefix sums."""
     y = np.asarray(y, dtype=np.float64)
@@ -131,7 +125,9 @@ def sort_with_permutation(y) -> SortedInstance:
         raise InvalidInputError("y contains non-finite entries")
     perm = np.argsort(y, kind="stable")
     y_sorted = np.ascontiguousarray(y[perm])
-    return SortedInstance(y_sorted=y_sorted, perm=perm, prefix=_prefix_sums(y_sorted))
+    prefix = np.zeros(y.size + 1)
+    np.cumsum(y_sorted, out=prefix[1:])
+    return SortedInstance(y_sorted=y_sorted, perm=perm, prefix=prefix)
 
 
 def gamma_for_partition(ys: np.ndarray, p: Partition, s: float, t: float = 1.0) -> float:
@@ -196,17 +192,19 @@ def _degenerate_gamma(ys: np.ndarray, a: int, t: float) -> float:
 _GUIDED = 6
 
 
-def _f(ys: np.ndarray, prefix: np.ndarray, t: float, gamma: float):
-    """``sum(clip(ys + gamma, 0, t))`` from the prefix sums, and its slope there.
+def _f(ys: np.ndarray, t: float, gamma: float):
+    """``sum(clip(ys + gamma, 0, t))`` and its slope there, in O(log D + interior).
 
-    The slope is the number of coordinates strictly between 0 and t.
+    The slope is the number of coordinates strictly between 0 and t.  A
+    coordinate with ``y + gamma == 0`` counts at zero even where ``t - gamma``
+    rounds to ``-gamma``, so the slope is never negative.
     """
     lo = int(ys.searchsorted(-gamma, side="right"))
-    hi = int(ys.searchsorted(t - gamma, side="left"))
-    return t * (ys.size - hi) + prefix.item(hi) - prefix.item(lo) + (hi - lo) * gamma, hi - lo
+    hi = max(lo, int(ys.searchsorted(t - gamma, side="left")))
+    return t * (ys.size - hi) + float(ys[lo:hi].sum()) + (hi - lo) * gamma, hi - lo
 
 
-def _block_edge(ys, prefix, s, t, cap, lo, guess):
+def _block_edge(ys, s, t, cap, lo, guess):
     """First k >= lo whose edge test holds (D if none), and the last shift predicted.
 
     The zero edge (``cap`` False) tests ``f(-y_k) < s``, the cap edge
@@ -229,7 +227,7 @@ def _block_edge(ys, prefix, s, t, cap, lo, guess):
                 if lo <= g <= hi:  # a guess outside the bracket is known wrong
                     k = min(g, hi - 1)
         gamma = t - ys.item(k) if cap else -ys.item(k)
-        v, n = _f(ys, prefix, t, gamma)
+        v, n = _f(ys, t, gamma)
         if (v <= s) if cap else (v < s):
             hi = k
         else:
@@ -239,7 +237,7 @@ def _block_edge(ys, prefix, s, t, cap, lo, guess):
     return lo, guess
 
 
-def _kink_search(ys: np.ndarray, prefix: np.ndarray, s: float, t: float):
+def _kink_search(ys: np.ndarray, s: float, t: float):
     """Split (a, b) of the sorted coordinates for the sum target s and cap t.
 
     ``f(gamma) = sum(clip(y + gamma, 0, t))`` is nondecreasing and piecewise
@@ -255,16 +253,16 @@ def _kink_search(ys: np.ndarray, prefix: np.ndarray, s: float, t: float):
     typically evaluates f about 5 times (4.3 to 5.5 on average over the
     benchmark workloads, against 12 to 37 for two plain bisections).  In
     the worst case each edge spends its ``_GUIDED`` guided probes and then
-    a full bisection: ``2*ceil(log2(D+1)) + 12`` evaluations.  The one case
-    where f is flat at level s, the all-pinned split (s a multiple of t, a
-    gap of t), is tested first.
+    a full bisection, ``2*ceil(log2(D+1)) + 12`` evaluations of f: at most
+    ``O(D log D)``, the sort's order.  The one case where f is flat at level
+    s, the all-pinned split (s a multiple of t, a gap of t), is tested first.
     """
     d = ys.size
     a = d - round(s / t)
     if boundary_case_holds(ys, a, s, 0.0, t):
         return a, a
-    a, guess = _block_edge(ys, prefix, s, t, cap=False, lo=0, guess=(s - prefix.item(d)) / d)
-    b, _ = _block_edge(ys, prefix, s, t, cap=True, lo=a, guess=guess)
+    a, guess = _block_edge(ys, s, t, cap=False, lo=0, guess=(s - float(ys.sum())) / d)
+    b, _ = _block_edge(ys, s, t, cap=True, lo=a, guess=guess)
     return a, b
 
 
@@ -312,18 +310,20 @@ def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
 
     The solution is returned in the original index order, exactly 0 on
     ``at_zero`` and exactly ``inp.t`` on ``at_cap``.  The split found by the
-    kink search is checked once with the sign tests at
-    ``default_eps(y, t) = 1e-9 * max(t, |y|_inf)``; if they fail,
-    ``InconsistentCandidateError`` is raised.
+    kink search is checked once by its sign tests, each at the scale of the
+    values it reads; if they fail, ``InconsistentCandidateError`` is raised.
     """
     y, s, t = inp.y, inp.s, inp.t
     ys = np.sort(y)
-    p = Partition(*_kink_search(ys, _prefix_sums(ys), s, t))
+    p = Partition(*_kink_search(ys, s, t))
     res = _assemble(y, ys, p, s, t)
-    eps = default_eps(ys[[0, -1]], t)  # the extremes carry max |y|
     if p.a == p.b:
+        # t*(D - a) reads no y, so its miss of s is judged at the scale of s
+        # and t: at |y|'s, [0, 1] would pass for y = [0.1, 1e17], s = 0.5
+        eps = 1e-9 * max(t, s)
         ok = boundary_case_holds(ys, p.a, s, eps, t)
     else:
+        eps = default_eps(ys[[0, -1]], t)  # the extremes carry max |y|
         ok = partition_is_optimal(ys, p, res.gamma, eps, t)
     if not ok:
         raise InconsistentCandidateError(

@@ -57,6 +57,13 @@ class TestProject:
         assert cli_dispatch(["project", "--s", "-1", "--input", vec_file]) == 3
         assert "infeasible" in capsys.readouterr().err
 
+    def test_unrepresentable_answer_exits_3(self, tmp_path, capsys):
+        # the projection [0, 0.5] is not 1e17 + gamma for any double gamma
+        path = tmp_path / "v.txt"
+        path.write_text("0.1 1e17\n")
+        assert cli_dispatch(["project", "--s", "0.5", "--input", str(path)]) == 3
+        assert "fails the optimality sign tests" in capsys.readouterr().err
+
     def test_cap_flag(self, tmp_path, capsys):
         path = tmp_path / "v.txt"
         path.write_text("0.6 0.6\n")

@@ -1,7 +1,9 @@
 """Tests for the exact solver: helpers, golden instances, oracle agreement."""
 
 import bisect
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -316,7 +318,7 @@ def test_matches_oracle_on_ties_and_wide_values(inst):
 
 def test_wrong_split_raises(monkeypatch):
     # (0, 3) puts -2 in the interior although the projection pins it at 0
-    monkeypatch.setattr(projection, "_kink_search", lambda ys, prefix, s, t: (0, 3))
+    monkeypatch.setattr(projection, "_kink_search", lambda ys, s, t: (0, 3))
     with pytest.raises(InconsistentCandidateError):
         project_capped_simplex(ProjectionInput([-2.0, 0.5, 3.0], 1.5))
 
@@ -355,18 +357,16 @@ def test_search_work_stays_within_two_bisections(f_calls):
     assert 0 < total <= 300
 
 
-def _two_bisections(ys, prefix, s, t):
+def _two_bisections(ys, s, t):
     # reference split: the first kink index of each edge test by plain
-    # bisection, with f written out from its definition over the kinks
+    # bisection, with f evaluated from its definition
     d = ys.size
     a = d - round(s / t)
     if boundary_case_holds(ys, a, s, 0.0, t):
         return a, a
 
     def f(gamma):
-        lo = ys.searchsorted(-gamma, side="right")
-        hi = ys.searchsorted(t - gamma, side="left")
-        return t * (d - int(hi)) + prefix[hi] - prefix[lo] + (hi - lo) * gamma
+        return np.clip(ys + gamma, 0.0, t).sum()
 
     a = bisect.bisect_left(range(d), True, key=lambda k: f(-ys[k]) < s)
     b = bisect.bisect_left(range(d), True, lo=a, key=lambda k: f(t - ys[k]) <= s)
@@ -396,10 +396,9 @@ def test_guided_search_matches_two_bisections_on_adversarial_inputs(f_calls):
         t = 10.0 ** rng.uniform(-2.0, 2.0)
         s = t * (float(rng.integers(d + 1)) if rng.random() < 0.5 else rng.uniform(0.0, d))
         ys = np.sort(y)
-        prefix = projection._prefix_sums(ys)
         f_calls[0] = 0
-        split = projection._kink_search(ys, prefix, s, t)
-        assert split == _two_bisections(ys, prefix, s, t), (d, s, t)
+        split = projection._kink_search(ys, s, t)
+        assert split == _two_bisections(ys, s, t), (d, s, t)
         bisections = 2 * math.ceil(math.log2(d + 1))
         assert f_calls[0] <= bisections + 2 * projection._GUIDED, (d, s, t, f_calls[0])
         excess.append(f_calls[0] - bisections)
@@ -407,6 +406,79 @@ def test_guided_search_matches_two_bisections_on_adversarial_inputs(f_calls):
     # heavy tails costs at most a few probes over two bisections (9 here
     # when such guesses are clamped into the bracket instead)
     assert max(excess) <= 4
+
+
+def test_f_where_both_kinks_of_a_coordinate_round_together():
+    # at gamma = 1e17, t - gamma rounds to -gamma: y = -1e17 has y + gamma
+    # == 0 and counts at zero, so the slope is 0, never negative
+    assert projection._f(np.array([-1e17, 0.1]), 1.0, 1e17) == (1.0, 0)
+
+
+def test_pinned_answer_that_misses_the_target_raises():
+    # the projection is [0, 0.5], but 0.5 is not 1e17 + gamma for any
+    # double gamma; the all-pinned [0, 1] misses s by 0.5 and must not pass
+    with pytest.raises(InconsistentCandidateError):
+        project_capped_simplex(ProjectionInput([0.1, 1e17], 0.5))
+
+
+def _project_around_outlier(y, j, s, t):
+    """Projection of y whose coordinate j is far below or above the others.
+
+    A negative y[j] ends at 0.  A positive one ends at the cap when s >= t,
+    and otherwise holds all of s while the rest end at 0.  The other
+    coordinates are projected by 300 bisection steps on gamma.
+    """
+    x = np.zeros_like(y)
+    if y[j] > 0:
+        x[j] = min(s, t)
+        s -= x[j]
+    rest = np.delete(y, j)
+    lo, hi = -rest.max(), t - rest.min()
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if np.clip(rest + mid, 0.0, t).sum() < s:
+            lo = mid
+        else:
+            hi = mid
+    x[np.arange(y.size) != j] = np.clip(rest + hi, 0.0, t)
+    return x
+
+
+def test_outliers_are_solved_or_refused_never_wrong():
+    # An interior value is y_i + gamma, so an answer whose interior needs a
+    # coordinate with |y_i| >= 2^53 * t (a positive outlier and s < t) has
+    # no exact double form: only there may the solver raise.  Every other
+    # row is solved to 1e-9 * t, whatever the outlier's size.
+    rng = np.random.default_rng(31)
+    raised = 0
+    for t in (1e-3, 1.0, 1e3):
+        for m in [10.0**e * t for e in (5, 10, 12, 15, 17, 100)] + [1e300]:
+            for sign in (-1.0, 1.0):
+                for _ in range(20):
+                    d = int(rng.integers(2, 40))
+                    y = t * rng.uniform(-0.5, 0.5, d)
+                    j = int(rng.integers(d))
+                    y[j] = sign * m
+                    s = float(rng.uniform(0.0, t * (d - 1)))
+                    try:
+                        x = project_capped_box(ProjectionInput(y, s, t=t)).x
+                    except InconsistentCandidateError:
+                        assert sign > 0 and m >= 2.0**53 * t and s < t, (y, s, t)
+                        raised += 1
+                        continue
+                    gap = np.max(np.abs(x - _project_around_outlier(y, j, s, t)))
+                    assert gap <= 1e-9 * t, (y, s, t, gap)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("i", [7295, 9535, 44139])
+def test_rows_minibatch_negative_outliers_certify(monkeypatch, i):
+    # rows_minibatch at seed 811: D = 64, one outlier of -3.3e11 to -9.7e11
+    # among values in [-0.5, 0.5)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    inst = importlib.import_module("workloads").WORKLOADS["rows_minibatch"](811).instance(i)
+    inp = ProjectionInput(inst.y, inst.s, inst.t)
+    assert certify_result(inp, project_capped_box(inp))[1].passed
 
 
 class TestProjectCappedBox:
