@@ -15,7 +15,12 @@ A certificate is one pass over y, x, gamma and the two block masks, in
 blocks of 2^14 entries.  Per block it forces the multipliers into small
 buffers, counts the entries where the claimed blocks misfit x and keeps the
 running extremes of every residual; only ``x.min()``, ``x.max()`` and
-``x.sum()`` read the whole of x.  The multipliers are always the forced
+``x.sum()`` read the whole of x.  A block with no coordinate costs the pass
+nothing: its multiplier is +-0 on every entry and moves no residual, so its
+forcing, its misfit count and its residual terms are skipped.  That skip
+applies while x and gamma are finite and ``y + gamma - t`` cannot overflow;
+otherwise every term runs, and a NaN or an inf shows in the report as in the
+whole-array formulas.  The multipliers are always the forced
 ones: ``certify_result`` forces them on the blocks the solver reports,
 ``certify`` on blocks it reads off the candidate.  No array of the size of y
 is built: a ``KktCertificate`` keeps what forces the multipliers and builds
@@ -24,6 +29,7 @@ is built: a ``KktCertificate`` keeps what forces the multipliers and builds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,16 +50,19 @@ DEFAULT_CLASSIFY_TOL = 1e-7
 _BLOCK = 1 << 14
 
 
-def _force(y, gamma, zero, one, cap, alpha, beta) -> None:
+def _force(y, gamma, zero, one, cap, alpha, beta, alpha_on=True, beta_on=True) -> None:
     # alpha = -(y + gamma) on the zero block and beta = y + gamma - cap on the
     # cap block, 0 elsewhere, written into alpha and beta.  Products with the
     # masks rather than np.where, whose per-entry branch is slow on masks in
-    # input order.
+    # input order.  Without ``alpha_on`` alpha is not written; without
+    # ``beta_on`` beta holds y + gamma.
     np.add(y, gamma, out=beta)
-    np.negative(beta, out=alpha)
-    alpha *= zero
-    beta -= cap
-    beta *= one
+    if alpha_on:
+        np.negative(beta, out=alpha)
+        alpha *= zero
+    if beta_on:
+        beta -= cap
+        beta *= one
 
 
 class KktCertificate:
@@ -150,18 +159,23 @@ def _candidate(inp, x):
     return x
 
 
-def _count_misfits(x, zero, one, cap, work, flag) -> tuple[int, int, int]:
+def _count_misfits(x, zero, one, cap, work, flag, alpha_on, beta_on) -> tuple[int, int, int]:
     # one count per entry of _MISFITS: entries both blocks claim, and entries
-    # more than the classification slack from the bound they are claimed at
+    # more than the classification slack from the bound they are claimed at;
+    # a block left out (alpha_on or beta_on False) is empty and counts 0
     ctol = DEFAULT_CLASSIFY_TOL
-    both = np.count_nonzero(np.logical_and(zero, one, out=flag))
-    np.abs(x, out=work)
-    np.greater(work, ctol, out=flag)
-    off_zero = np.count_nonzero(np.logical_and(flag, zero, out=flag))
-    np.subtract(x, cap, out=work)
-    np.abs(work, out=work)
-    np.greater(work, ctol, out=flag)
-    off_cap = np.count_nonzero(np.logical_and(flag, one, out=flag))
+    both = off_zero = off_cap = 0
+    if alpha_on and beta_on:
+        both = np.count_nonzero(np.logical_and(zero, one, out=flag))
+    if alpha_on:
+        np.abs(x, out=work)
+        np.greater(work, ctol, out=flag)
+        off_zero = np.count_nonzero(np.logical_and(flag, zero, out=flag))
+    if beta_on:
+        np.subtract(x, cap, out=work)
+        np.abs(work, out=work)
+        np.greater(work, ctol, out=flag)
+        off_cap = np.count_nonzero(np.logical_and(flag, one, out=flag))
     return both, off_zero, off_cap
 
 
@@ -176,23 +190,42 @@ def _min(a, b):
     return a if a <= b or a != a else b
 
 
-def _measure(inp, x, gamma, zero, one, tol, check) -> KktReport:
+# the largest double: y + gamma, and y + gamma - t, are finite for every
+# finite y when they are at y = _BIG and y = -_BIG
+_BIG = float(np.finfo(np.float64).max)
+
+
+def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     """The residual report of (x, gamma) on inp from one pass over blocks.
 
-    The multipliers are forced from the masks ``zero`` and ``one`` into
-    per-block buffers.  With ``check``, the masks are checked against x in
-    the same pass, and a misfit raises ``InconsistentCandidateError``.
-    Reductions call the ufuncs directly: ``a.max()`` costs twice as much on
-    short blocks.
+    The multipliers are forced from the masks ``zero`` and ``one``, of
+    ``sizes`` coordinates each, into per-block buffers.  With ``check``, the
+    masks are checked against x in the same pass, and a misfit raises
+    ``InconsistentCandidateError``.  Reductions call the ufuncs directly:
+    ``a.max()`` costs twice as much on short blocks.
+
+    An empty block forces its multiplier to +-0 on every entry, which moves
+    no residual, so its terms are skipped.  That holds while nothing it
+    meets can overflow: x finite, and ``y + gamma`` and ``y + gamma - t``
+    finite for every finite y, which also keeps ``t - x`` finite.
+    Otherwise every term runs, so a NaN or an inf reaches the report as in
+    the whole-array formulas.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
     y, t = inp.y, inp.t
     d = y.size
-    n = min(d, _BLOCK)
-    alpha_buf, beta_buf = np.empty(n), np.empty(n)
-    stat_r, cs_r, work = np.empty(n), np.empty(n), np.empty(n)
-    flag = np.empty(n, dtype=bool)
+    x_min, x_max = np.minimum.reduce(x), np.maximum.reduce(x)
+    exact = (
+        math.isfinite(gamma + _BIG)
+        and math.isfinite(gamma - _BIG - t)
+        and math.isfinite(x_min)
+        and math.isfinite(x_max)
+    )
+    alpha_on, beta_on = sizes[0] > 0 or not exact, sizes[1] > 0 or not exact
+    m = n = min(d, _BLOCK)
+    ab, bb, rs, rc, w = np.empty((5, n))
+    f = np.empty(n, dtype=bool)
     # coordinate i passes when its residual is within tol * max(c, |y_i|);
     # a block whose largest residual is within tol * c needs no finer look
     c = max(t, abs(gamma))
@@ -202,29 +235,41 @@ def _measure(inp, x, gamma, zero, one, tol, check) -> KktReport:
     misfits = np.zeros(len(_MISFITS), dtype=np.intp)
     within = True
     for i in range(0, d, _BLOCK):
-        j = min(i + _BLOCK, d)
-        m = j - i
-        xb, yb, zb, cb = x[i:j], y[i:j], zero[i:j], one[i:j]
-        ab, bb = alpha_buf[:m], beta_buf[:m]
-        rs, rc, w, f = stat_r[:m], cs_r[:m], work[:m], flag[:m]
-        _force(yb, gamma, zb, cb, t, ab, bb)
+        if d == n:  # one block: the arrays themselves, no views to make
+            xb, yb, zb, cb = x, y, zero, one
+        else:
+            j = min(i + _BLOCK, d)
+            xb, yb, zb, cb = x[i:j], y[i:j], zero[i:j], one[i:j]
+            if j - i < n:  # the last block, partial
+                m = j - i
+                ab, bb, rs, rc, w, f = ab[:m], bb[:m], rs[:m], rc[:m], w[:m], f[:m]
+        if alpha_on or beta_on:
+            _force(yb, gamma, zb, cb, t, ab, bb, alpha_on, beta_on)
         if check:
-            misfits += _count_misfits(xb, zb, cb, t, w, f)
+            misfits += _count_misfits(xb, zb, cb, t, w, f, alpha_on, beta_on)
         # the order of the whole-array expressions in the KktReport docstring,
         # so every field is bitwise what they give
         np.subtract(xb, yb, out=rs)
-        rs -= ab
-        rs += bb
+        if alpha_on:
+            rs -= ab
+        if beta_on:
+            rs += bb
         rs -= gamma
         np.abs(rs, out=rs)
-        np.multiply(ab, xb, out=rc)
-        np.abs(rc, out=rc)
-        np.subtract(t, xb, out=w)
-        w *= bb
-        np.abs(w, out=w)
-        np.maximum(rc, w, out=rc)
-        top_s, top_c = np.maximum.reduce(rs), np.maximum.reduce(rc)
-        a_min, b_min = np.minimum.reduce(ab), np.minimum.reduce(bb)
+        if alpha_on:
+            np.multiply(ab, xb, out=rc)
+            np.abs(rc, out=rc)
+        if beta_on:
+            cw = w if alpha_on else rc
+            np.subtract(t, xb, out=cw)
+            cw *= bb
+            np.abs(cw, out=cw)
+            if alpha_on:
+                np.maximum(rc, w, out=rc)
+        top_s = np.maximum.reduce(rs)
+        top_c = np.maximum.reduce(rc) if alpha_on or beta_on else 0.0
+        a_min = np.minimum.reduce(ab) if alpha_on else 0.0
+        b_min = np.minimum.reduce(bb) if beta_on else 0.0
         stat, cs = _max(stat, top_s), _max(cs, top_c)
         alpha_min, beta_min = _min(alpha_min, a_min), _min(beta_min, b_min)
         if within and not (
@@ -236,12 +281,14 @@ def _measure(inp, x, gamma, zero, one, tol, check) -> KktReport:
             np.maximum(w, c, out=w)
             w *= tol
             within = np.count_nonzero(np.less_equal(rs, w, out=f)) == m
-            np.multiply(w, t, out=rs)
-            within = within and np.count_nonzero(np.less_equal(rc, rs, out=f)) == m
+            if alpha_on or beta_on:
+                np.multiply(w, t, out=rs)
+                within = within and np.count_nonzero(np.less_equal(rc, rs, out=f)) == m
             np.negative(w, out=w)
-            within = within and np.count_nonzero(np.greater_equal(ab, w, out=f)) == m
-            within = within and np.count_nonzero(np.greater_equal(bb, w, out=f)) == m
-    x_min, x_max = np.minimum.reduce(x), np.maximum.reduce(x)
+            if alpha_on:
+                within = within and np.count_nonzero(np.greater_equal(ab, w, out=f)) == m
+            if beta_on:
+                within = within and np.count_nonzero(np.greater_equal(bb, w, out=f)) == m
     if check:
         for count, message in zip(misfits, _MISFITS):
             if count:
@@ -307,7 +354,8 @@ def certify(
     shifted = inp.y + gamma
     zero &= shifted <= 0.0
     one &= shifted >= inp.t
-    report = _measure(inp, x, gamma, zero, one, tol, check=False)
+    sizes = np.count_nonzero(zero), np.count_nonzero(one)
+    report = _measure(inp, x, gamma, zero, one, tol, check=False, sizes=sizes)
     return KktCertificate(inp.y, gamma, zero, one, inp.t), report
 
 
@@ -337,5 +385,5 @@ def certify_result(
             f"partition (a={p.a}, b={p.b}) at D={inp.dim}"
         )
     gamma = float(res.gamma)
-    report = _measure(inp, x, gamma, zero, one, tol, check=True)
+    report = _measure(inp, x, gamma, zero, one, tol, check=True, sizes=(n_zero, n_cap))
     return KktCertificate(inp.y, gamma, zero, one, inp.t), report

@@ -19,6 +19,7 @@ each block is an exact comparison of y against one sorted value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,9 @@ class ProjectionInput:
             raise InvalidInputError("y contains non-finite entries")
         self.s = float(self.s)
         self.t = float(self.t)
-        if not np.isfinite(self.t) or self.t <= 0.0:
+        if not math.isfinite(self.t) or self.t <= 0.0:
             raise InvalidInputError(f"cap must be a positive finite number, got {self.t}")
-        if not np.isfinite(self.s):
+        if not math.isfinite(self.s):
             raise InvalidInputError("sum target must be finite")
         if self.s < 0.0 or self.s > self.t * self.y.size:
             raise InfeasibleError(
@@ -157,12 +158,30 @@ def partition_is_optimal(
     each widened by eps; comparisons against the virtual entries y_0 = -inf
     and y_{D+1} = +inf are skipped.  Assumes 0 <= a < b <= D.
     """
+    return _signs_hold(_edge_values(ys, p), gamma, eps, t)
+
+
+def _edge_values(ys: np.ndarray, p: Partition):
+    # the sorted values the sign tests read, y_a, y_{a+1}, y_b and y_{b+1}
+    # (1-based), with the virtual y_0 = -inf and y_{D+1} = +inf
     a, b = p.a, p.b
     return (
-        (a == 0 or not ys[a - 1] + gamma > eps)
-        and ys[a] + gamma > -eps
-        and ys[b - 1] + gamma < t + eps
-        and (b == ys.size or not ys[b] + gamma < t - eps)
+        ys.item(a - 1) if a else -math.inf,
+        ys.item(a),
+        ys.item(b - 1),
+        ys.item(b) if b < ys.size else math.inf,
+    )
+
+
+def _signs_hold(edges, gamma: float, eps: float, t: float) -> bool:
+    # a virtual neighbor's test reads -inf or +inf (NaN at an infinite
+    # gamma), which passes, as skipping it would
+    below, first, last, above = edges
+    return (
+        not below + gamma > eps
+        and first + gamma > -eps
+        and last + gamma < t + eps
+        and not above + gamma < t - eps
     )
 
 
@@ -201,7 +220,7 @@ def _f(ys: np.ndarray, t: float, gamma: float):
     """
     lo = int(ys.searchsorted(-gamma, side="right"))
     hi = max(lo, int(ys.searchsorted(t - gamma, side="left")))
-    return t * (ys.size - hi) + float(ys[lo:hi].sum()) + (hi - lo) * gamma, hi - lo
+    return t * (ys.size - hi) + float(np.add.reduce(ys[lo:hi])) + (hi - lo) * gamma, hi - lo
 
 
 def _block_edge(ys, s, t, cap, lo, guess):
@@ -212,8 +231,9 @@ def _block_edge(ys, s, t, cap, lo, guess):
     ``_GUIDED`` probes go to the kink of the shift ``guess``, clamped into
     the bracket still open.  A probe at kink ``gamma`` updates the guess by a
     Newton step, ``gamma + (s - f)/slope``, which lands on the solution once
-    no kink lies between them.  A probe with no usable guess bisects, and so
-    does every probe after the guided ones.
+    no kink lies between them.  A probe with no usable guess (NaN on a flat
+    piece of f, or a shift that overflowed) bisects, and so does every probe
+    after the guided ones.
     """
     hi = ys.size
     shift, side = (t, "left") if cap else (0.0, "right")
@@ -222,7 +242,7 @@ def _block_edge(ys, s, t, cap, lo, guess):
         k = (lo + hi) // 2
         if guided and hi - lo > 2:  # two bisection probes close a smaller bracket
             guided -= 1
-            if guess is not None:
+            if math.isfinite(guess):
                 g = int(ys.searchsorted(shift - guess, side))
                 if lo <= g <= hi:  # a guess outside the bracket is known wrong
                     k = min(g, hi - 1)
@@ -233,7 +253,7 @@ def _block_edge(ys, s, t, cap, lo, guess):
         else:
             lo = k + 1
         # on a flat piece of f the step is undefined
-        guess = gamma + (s - v) / n if n else None
+        guess = gamma + (s - v) / n if n else math.nan
     return lo, guess
 
 
@@ -261,7 +281,7 @@ def _kink_search(ys: np.ndarray, s: float, t: float):
     a = d - round(s / t)
     if boundary_case_holds(ys, a, s, 0.0, t):
         return a, a
-    a, guess = _block_edge(ys, s, t, cap=False, lo=0, guess=(s - float(ys.sum())) / d)
+    a, guess = _block_edge(ys, s, t, cap=False, lo=0, guess=(s - float(np.add.reduce(ys))) / d)
     b, _ = _block_edge(ys, s, t, cap=True, lo=a, guess=guess)
     return a, b
 
@@ -277,22 +297,36 @@ def _assemble(
     y: np.ndarray, ys: np.ndarray, p: Partition, s: float, t: float
 ) -> ProjectionResult:
     # The kink tests read only ys[k], so a and b each start a group of equal
-    # values (or equal D): the blocks are exact comparisons against them.
+    # values (or equal D): the blocks are exact comparisons against them, and
+    # an empty block costs no pass over y.  With an interior, x is built in
+    # the buffer of ys, which is overwritten: a second array of D doubles
+    # per solve would be fresh memory, and page faults, whenever the
+    # allocator has handed the last one back to the system.
     d = y.size
     a, b = p.a, p.b
-    at_zero = y < ys[a] if a < d else np.ones(d, dtype=bool)
+    at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
     if b > a:
         gamma = gamma_for_partition(ys, p, s, t)
-        free = ~(at_zero | at_cap)
         # x = y + gamma inside, 0 and t on the blocks, by arithmetic on the
         # masks: np.where branches per entry, and masks in input order defeat
         # branch prediction.  Clipping y to the interior's range first leaves
-        # the interior exact and keeps the values masked out finite.
-        x = y.clip(ys[a], ys[b - 1])
+        # the interior exact and keeps the values masked out finite; a side
+        # with no block needs no clip.
+        if a and b < d:
+            x, free = y.clip(ys[a], ys[b - 1], out=ys), ~(at_zero | at_cap)
+        elif a:
+            x, free = np.maximum(y, ys[a], out=ys), ~at_zero
+        else:
+            x, free = np.minimum(y, ys[b - 1], out=ys), ~at_cap
         x += gamma
         x *= free
-        _add_masked(x, at_cap, t)
+        if b < d:
+            _add_masked(x, at_cap, t)
+        else:
+            # what adding the empty cap block adds: +0.0, which turns the
+            # -0.0 the mask leaves on a negative value into +0.0
+            x += 0.0
         # One re-centering pass: keeps the sum residual at rounding level
         # after the interior values are rounded at large D.
         delta = (s - float(x.sum())) / (b - a)
@@ -315,16 +349,22 @@ def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
     """
     y, s, t = inp.y, inp.s, inp.t
     ys = np.sort(y)
-    p = Partition(*_kink_search(ys, s, t))
-    res = _assemble(y, ys, p, s, t)
-    if p.a == p.b:
-        # t*(D - a) reads no y, so its miss of s is judged at the scale of s
-        # and t: at |y|'s, [0, 1] would pass for y = [0.1, 1e17], s = 0.5
-        eps = 1e-9 * max(t, s)
-        ok = boundary_case_holds(ys, p.a, s, eps, t)
-    else:
-        eps = default_eps(ys[[0, -1]], t)  # the extremes carry max |y|
-        ok = partition_is_optimal(ys, p, res.gamma, eps, t)
+    # Where a sum of y passes DBL_MAX it reads inf or NaN, not a warning: the
+    # search then bisects, and the sign tests refuse a split it spoiled.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = Partition(*_kink_search(ys, s, t))
+        if p.a == p.b:
+            # t*(D - a) reads no y, so its miss of s is judged at the scale of
+            # s and t: at |y|'s, [0, 1] would pass for y = [0.1, 1e17], s = 0.5
+            eps = 1e-9 * max(t, s)
+            ok = boundary_case_holds(ys, p.a, s, eps, t)
+            res = _assemble(y, ys, p, s, t)
+        else:
+            # default_eps(y, t) from the extremes, which carry max |y|
+            eps = 1e-9 * max(t, abs(ys.item(0)), abs(ys.item(-1)))
+            edges = _edge_values(ys, p)  # read before x overwrites ys
+            res = _assemble(y, ys, p, s, t)
+            ok = _signs_hold(edges, res.gamma, eps, t)
     if not ok:
         raise InconsistentCandidateError(
             f"split (a={p.a}, b={p.b}) with gamma={res.gamma!r} fails the optimality "

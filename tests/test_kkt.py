@@ -192,6 +192,61 @@ class TestNanCandidates:
         assert not report.passed
 
 
+    # An empty block's terms are skipped only while its multiplier is +-0
+    # on every entry.  In each case below a non-finite value makes it NaN or
+    # lets it meet an inf, so the whole-array formulas read NaN there, and
+    # so must the report.
+    def test_nan_in_x_with_neither_block(self):
+        inp = ProjectionInput([0.1, 0.2, 0.3], 1.5)
+        res = project_capped_simplex(inp)
+        assert not (res.at_zero.any() or res.at_cap.any())
+        x = res.x.copy()
+        x[1] = np.nan
+        report = certify_result(inp, dataclasses.replace(res, x=x))[1]
+        assert np.isnan(report.cs_residual)  # alpha * x = 0 * NaN
+        zeros = np.zeros(3)
+        assert _report_bits(report) == _reference_bits(inp, x, zeros, zeros, res.gamma)
+
+    def test_inf_in_x_with_no_zero_block(self):
+        x = np.array([0.75, 0.25, np.inf])
+        with np.errstate(invalid="ignore"):  # 0 * inf, as in the formulas
+            cert, report = certify(self.inp, x, 0.45)
+            want = _certify_reference_bits(self.inp, x, 0.45)
+        assert not cert.alpha.any() and cert.beta[2] > 0.0
+        assert np.isnan(report.cs_residual)  # alpha * x = -0 * inf
+        assert _report_bits(report) == want
+
+    @pytest.mark.parametrize(
+        "y, s", [([0.3, -0.2, 1.5], 2.0), ([0.1, 0.2, 0.3], 1.5)], ids=["cap block", "neither"]
+    )
+    def test_nan_gamma_with_no_zero_block(self, y, s):
+        inp = ProjectionInput(y, s)
+        res = project_capped_simplex(inp)
+        assert not res.at_zero.any()
+        report = certify_result(inp, dataclasses.replace(res, gamma=float("nan")))[1]
+        alpha, beta = _reference_multipliers(inp.y, np.nan, res.at_zero, res.at_cap, inp.t)
+        assert _report_bits(report) == _reference_bits(inp, res.x, alpha, beta, np.nan)
+        assert np.isnan(report.dual_residual) and np.isnan(report.cs_residual)
+
+    @pytest.mark.parametrize(
+        "y, s, t, x, gamma",
+        [
+            # y + gamma overflows to inf, so alpha = -inf * 0 is NaN
+            ([1e308, 0.5, 0.2], 1.5, 1.0, [1.0, 0.3, 0.2], 1e308),
+            # y + gamma - t overflows to -inf, so beta = -inf * 0 is NaN
+            ([-1e308, 0.5, 0.2], 0.5, 1e308, [0.0, 0.3, 0.2], -1e308),
+        ],
+    )
+    def test_finite_gamma_that_overflows_with_y(self, y, s, t, x, gamma):
+        # gamma and x are finite here: only y + gamma - t tells the skip off
+        inp, x = ProjectionInput(y, s, t), np.array(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert, report = certify(inp, x, gamma)
+            want = _certify_reference_bits(inp, x, gamma)
+        assert _report_bits(report) == want
+        assert np.isnan(report.max_residual)
+
+
 class TestCertify:
     def test_estimates_gamma_from_the_interior(self):
         for seed in (0, 3, 11):
@@ -439,19 +494,35 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _max(*values):
+    # the builtin max, but NaN when any value is NaN, as a whole-array max is
+    return float("nan") if any(v != v for v in values) else max(values)
+
+
 def _reference_bits(inp, x, alpha, beta, gamma):
     # the six report fields as whole-array expressions, bit for bit
     t = inp.t
     return _bits(
         (
             np.max(np.abs(x - inp.y - alpha + beta - gamma)),
-            max(0.0, float(-x.min())),
-            max(0.0, float(x.max() - t)),
+            _max(0.0, float(-x.min())),
+            _max(0.0, float(x.max() - t)),
             abs(float(x.sum()) - inp.s),
-            max(0.0, float(-alpha.min()), float(-beta.min())),
-            max(float(np.max(np.abs(alpha * x))), float(np.max(np.abs(beta * (t - x))))),
+            _max(0.0, float(-alpha.min()), float(-beta.min())),
+            _max(float(np.max(np.abs(alpha * x))), float(np.max(np.abs(beta * (t - x))))),
         )
     )
+
+
+def _certify_reference_bits(inp, x, gamma):
+    # the report fields certify gives for x and gamma: its classification,
+    # then the whole-array expressions
+    ctol = 1e-7
+    shifted = inp.y + gamma
+    zero = (x <= ctol) & (shifted <= 0.0)
+    one = (x >= inp.t - ctol) & ~(x <= ctol) & (shifted >= inp.t)
+    alpha, beta = _reference_multipliers(inp.y, gamma, zero, one, inp.t)
+    return _reference_bits(inp, x, alpha, beta, gamma)
 
 
 def _report_bits(report):
@@ -468,6 +539,32 @@ def _report_bits(report):
 
 
 EDGE_D = 3 * (1 << 14) + 5  # three full blocks of the pass and a partial one
+
+
+def _block_pattern(pattern):
+    # an EDGE_D instance with only the blocks the pattern names; the partial
+    # last block holds a coordinate of each kind present
+    rng = np.random.default_rng(78)
+    y = rng.random(EDGE_D) - 0.5
+    d, t = EDGE_D, 1.0
+    if pattern == "no zero block":  # y + gamma > 0 everywhere, some above t
+        y[-4:], s = [3.0, 0.1, 3.0, 0.2], 0.9 * d
+    elif pattern == "no cap block":  # y + gamma < t everywhere, some below 0
+        y[-4:], s = [-3.0, 0.1, -3.0, 0.2], 0.1 * d
+    elif pattern == "neither block":  # a = 0, b = D
+        y *= 0.1
+        y[-4:], s = [0.01, -0.02, 0.03, 0.0], 0.5 * d
+    else:  # no interior: two groups a gap of more than t apart, a = b
+        y = np.where(y < 0.0, y - 1.0, y + 1.0)
+        y[-4:] = [-1.2, 1.3, -1.4, 1.1]
+        s = t * float(np.count_nonzero(y > 0.0))
+    inp = ProjectionInput(y, s, t)
+    res = project_capped_box(inp)
+    a, b = res.partition.a, res.partition.b
+    assert (a == 0) == (pattern in ("no zero block", "neither block"))
+    assert (b == d) == (pattern in ("no cap block", "neither block"))
+    assert (a == b) == (pattern == "no interior")
+    return inp, res
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +608,23 @@ class TestBlockEdges:
         assert report.dual_residual == 0.0
         assert report.stationarity_residual >= 0.1 and not report.passed
         assert cert.alpha.tobytes() == alpha.tobytes()
+
+    @pytest.mark.parametrize(
+        "pattern", ["no zero block", "no cap block", "neither block", "no interior"]
+    )
+    def test_each_block_pattern_matches_the_whole_array_formulas(self, pattern):
+        # an empty block's terms are skipped in the pass; the report must not
+        # show it
+        inp, res = _block_pattern(pattern)
+        cert, report = certify_result(inp, res)
+        alpha, beta = _reference_multipliers(inp.y, res.gamma, res.at_zero, res.at_cap, inp.t)
+        assert _report_bits(report) == _reference_bits(inp, res.x, alpha, beta, res.gamma)
+        assert report.passed
+        assert cert.alpha.tobytes() == alpha.tobytes()
+        assert cert.beta.tobytes() == beta.tobytes()
+        cert, report = certify(inp, res.x)
+        assert _report_bits(report) == _certify_reference_bits(inp, res.x, cert.gamma)
+        assert report.passed
 
     @pytest.mark.parametrize(
         "misfit, message",

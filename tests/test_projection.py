@@ -421,6 +421,42 @@ def test_pinned_answer_that_misses_the_target_raises():
         project_capped_simplex(ProjectionInput([0.1, 1e17], 0.5))
 
 
+@pytest.mark.parametrize(
+    "y, s, want",
+    [
+        ([1.7e308, 1.7e308, 0.1, 0.2], 2.5, [1.0, 1.0, 0.2, 0.3]),
+        ([-1.7e308, -1.7e308, 0.1, 0.2], 0.5, [0.0, 0.0, 0.2, 0.3]),
+    ],
+)
+def test_a_sum_of_y_past_dbl_max_gives_the_answer_without_a_warning(y, s, want):
+    # sum(y) overflows, so the search's all-interior start guess is not
+    # finite and it bisects; the suite turns any warning into an error
+    inp = ProjectionInput(y, s)
+    res = project_capped_box(inp)
+    npt.assert_allclose(res.x, want, rtol=0.0, atol=1e-15)
+    assert certify_result(inp, res)[1].passed
+
+
+@pytest.mark.parametrize(
+    "y, s, t",
+    [([1e308, 1.5e308], 1e308, 1e308), ([1e308, 1e308, 0.1], 0.5, 1e300)],
+)
+def test_an_interior_sum_past_dbl_max_raises_a_typed_error(y, s, t):
+    # the interior's sum overflows, so no double gamma solves the sum
+    with pytest.raises(InconsistentCandidateError):
+        project_capped_box(ProjectionInput(y, s, t))
+
+
+def test_no_cap_block_leaves_no_negative_zero():
+    # The smallest interior value rounds to -2.8e-17, so the mask leaves
+    # -0.0 on the zero block; adding the (empty) cap block's +0.0 turns it
+    # into +0.0, and skipping that block must too.
+    y = [0.5161523548705461, 0.137889941769058, 0.1002205348900419, 0.5035687208338653]
+    res = project_capped_box(ProjectionInput(y, 0.7439411921662954, 10.0))
+    assert (res.partition.a, res.partition.b) == (1, 4) and res.x[1] < 0.0
+    assert res.at_zero[2] and res.x[2] == 0.0 and not np.signbit(res.x[2])
+
+
 def _project_around_outlier(y, j, s, t):
     """Projection of y whose coordinate j is far below or above the others.
 
