@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InconsistentCandidateError, InvalidInputError
-from .projection import ProjectionInput, ProjectionResult
+from .projection import _BLOCK, ProjectionInput, ProjectionResult
 
 DEFAULT_TOL = 1e-8
 
@@ -44,10 +44,6 @@ DEFAULT_TOL = 1e-8
 # count as pinned there; looser than DEFAULT_TOL on purpose, since iterative
 # candidates land near bounds without touching them
 DEFAULT_CLASSIFY_TOL = 1e-7
-
-# entries per block of the certificate pass, as in projection._add_masked:
-# a handful of buffers this size stay in cache and cost no page faults
-_BLOCK = 1 << 14
 
 
 def _force(y, gamma, zero, one, cap, alpha, beta, alpha_on=True, beta_on=True) -> None:
@@ -223,6 +219,8 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
         and math.isfinite(x_max)
     )
     alpha_on, beta_on = sizes[0] > 0 or not exact, sizes[1] > 0 or not exact
+    # blocks of _BLOCK entries: a handful of buffers this size stay in cache
+    # and cost no page faults
     m = n = min(d, _BLOCK)
     ab, bb, rs, rc, w = np.empty((5, n))
     f = np.empty(n, dtype=bool)

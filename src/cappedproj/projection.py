@@ -7,14 +7,17 @@ values ``y_k + gamma``, then ``D - b`` entries at the cap.  After one sort of
 the values the solver finds ``(a, b)`` among the kinks of the piecewise
 linear sum ``f(gamma) = sum(clip(y + gamma, 0, t))``, probing where a Newton
 step on f predicts each edge: about 5 evaluations of f per solve, at most
-``2*ceil(log2(D+1)) + 12``, each summing the interior directly, in
-``O(log D + interior)``.  It then solves ``gamma`` from the sum constraint and
-checks the split with the optimality sign tests.  They say the bound
-multipliers that stationarity forces on the split are nonnegative, so a split
-that passes them satisfies the full first-order system and is the minimizer.
-A split that fails them raises instead of being returned.  The answer is built
-in the input order directly: a split never cuts a group of equal values, so
-each block is an exact comparison of y against one sorted value.
+``2*ceil(log2(D+1)) + 12``.  Each sums the interior pairwise, in
+``O(log D + interior)`` up to D = 2^14; above that, from the sums of the
+whole blocks of 2^14 sorted values, taken once per solve, plus the two
+fringes, in ``O(log D + 2^14 + D/2^14)``.  It then solves ``gamma`` from the
+sum constraint and checks the split with the optimality sign tests.  They say
+the bound multipliers that stationarity forces on the split are nonnegative,
+so a split that passes them satisfies the full first-order system and is the
+minimizer.  A split that fails them raises instead of being returned.  The
+answer is ``y + gamma`` in the input order, clipped once to ``[0, t]``: a
+split never cuts a group of equal values, so each block is an exact
+comparison of y against one sorted value.
 """
 
 from __future__ import annotations
@@ -210,20 +213,51 @@ def _degenerate_gamma(ys: np.ndarray, a: int, t: float) -> float:
 # probes per block edge placed by a Newton step before bisection takes over
 _GUIDED = 6
 
+# entries per block: of the sums the kink search keeps, of the re-centering
+# pass, and of the certificate pass in kkt
+_BLOCK = 1 << 14
 
-def _f(ys: np.ndarray, t: float, gamma: float):
-    """``sum(clip(ys + gamma, 0, t))`` and its slope there, in O(log D + interior).
 
-    The slope is the number of coordinates strictly between 0 and t.  A
-    coordinate with ``y + gamma == 0`` counts at zero even where ``t - gamma``
-    rounds to ``-gamma``, so the slope is never negative.
+def _block_sums(ys: np.ndarray):
+    """Pairwise sums of the whole blocks of ``_BLOCK`` sorted values, or None when D <= _BLOCK."""
+    if ys.size <= _BLOCK:
+        return None
+    n = ys.size // _BLOCK
+    return np.add.reduce(ys[: n * _BLOCK].reshape(n, _BLOCK), axis=1)
+
+
+def _sum(ys: np.ndarray, sums, lo: int, hi: int) -> float:
+    # sum(ys[lo:hi]), pairwise.  With block sums, the whole blocks inside
+    # [lo, hi) are read from them and only the two fringes from ys; the three
+    # parts are added left to right.  No sum is subtracted from another, so
+    # the interior is never lost to cancellation next to a large outlier.
+    if sums is not None:
+        i, j = -(-lo // _BLOCK), hi // _BLOCK
+        if i < j:
+            return (
+                float(np.add.reduce(ys[lo : i * _BLOCK]))
+                + float(np.add.reduce(sums[i:j]))
+                + float(np.add.reduce(ys[j * _BLOCK : hi]))
+            )
+    return float(np.add.reduce(ys[lo:hi]))
+
+
+def _f(ys: np.ndarray, sums, t: float, gamma: float):
+    """``sum(clip(ys + gamma, 0, t))`` and its slope there.
+
+    ``sums`` is ``_block_sums(ys)``.  The interior is summed by ``_sum``: in
+    ``O(log D + interior)`` when D <= 2^14, else in
+    ``O(log D + 2^14 + D/2^14)`` after the one ``O(D)`` pass of the block
+    sums.  The slope is the number of coordinates strictly between 0 and t.
+    A coordinate with ``y + gamma == 0`` counts at zero even where
+    ``t - gamma`` rounds to ``-gamma``, so the slope is never negative.
     """
     lo = int(ys.searchsorted(-gamma, side="right"))
     hi = max(lo, int(ys.searchsorted(t - gamma, side="left")))
-    return t * (ys.size - hi) + float(np.add.reduce(ys[lo:hi])) + (hi - lo) * gamma, hi - lo
+    return t * (ys.size - hi) + _sum(ys, sums, lo, hi) + (hi - lo) * gamma, hi - lo
 
 
-def _block_edge(ys, s, t, cap, lo, guess):
+def _block_edge(ys, sums, s, t, cap, lo, guess):
     """First k >= lo whose edge test holds (D if none), and the last shift predicted.
 
     The zero edge (``cap`` False) tests ``f(-y_k) < s``, the cap edge
@@ -247,7 +281,7 @@ def _block_edge(ys, s, t, cap, lo, guess):
                 if lo <= g <= hi:  # a guess outside the bracket is known wrong
                     k = min(g, hi - 1)
         gamma = t - ys.item(k) if cap else -ys.item(k)
-        v, n = _f(ys, t, gamma)
+        v, n = _f(ys, sums, t, gamma)
         if (v <= s) if cap else (v < s):
             hi = k
         else:
@@ -276,62 +310,68 @@ def _kink_search(ys: np.ndarray, s: float, t: float):
     a full bisection, ``2*ceil(log2(D+1)) + 12`` evaluations of f: at most
     ``O(D log D)``, the sort's order.  The one case where f is flat at level
     s, the all-pinned split (s a multiple of t, a gap of t), is tested first.
+    Past it, one pass takes the block sums that every probe, and the start
+    guess, then share.
     """
     d = ys.size
     a = d - round(s / t)
     if boundary_case_holds(ys, a, s, 0.0, t):
         return a, a
-    a, guess = _block_edge(ys, s, t, cap=False, lo=0, guess=(s - float(np.add.reduce(ys))) / d)
-    b, _ = _block_edge(ys, s, t, cap=True, lo=a, guess=guess)
+    sums = _block_sums(ys)
+    a, guess = _block_edge(ys, sums, s, t, cap=False, lo=0, guess=(s - _sum(ys, sums, 0, d)) / d)
+    b, _ = _block_edge(ys, sums, s, t, cap=True, lo=a, guess=guess)
     return a, b
 
 
 def _add_masked(x: np.ndarray, mask: np.ndarray, c: float) -> None:
-    # x += c * mask in blocks of 2^14 entries: a temporary as large as x
+    # x += c * mask in blocks of _BLOCK entries: a temporary as large as x
     # costs more in page faults than the whole product
-    for i in range(0, x.size, 1 << 14):
-        x[i : i + (1 << 14)] += mask[i : i + (1 << 14)] * c
+    for i in range(0, x.size, _BLOCK):
+        x[i : i + _BLOCK] += mask[i : i + _BLOCK] * c
 
 
 def _assemble(
-    y: np.ndarray, ys: np.ndarray, p: Partition, s: float, t: float
+    y: np.ndarray, ys: np.ndarray, p: Partition, s: float, t: float, edges
 ) -> ProjectionResult:
     # The kink tests read only ys[k], so a and b each start a group of equal
     # values (or equal D): the blocks are exact comparisons against them, and
     # an empty block costs no pass over y.  With an interior, x is built in
     # the buffer of ys, which is overwritten: a second array of D doubles
     # per solve would be fresh memory, and page faults, whenever the
-    # allocator has handed the last one back to the system.
+    # allocator has handed the last one back to the system.  ``edges`` are
+    # ``_edge_values(ys, p)``, read before ys is overwritten.
     d = y.size
     a, b = p.a, p.b
     at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
     if b > a:
         gamma = gamma_for_partition(ys, p, s, t)
-        # x = y + gamma inside, 0 and t on the blocks, by arithmetic on the
-        # masks: np.where branches per entry, and masks in input order defeat
-        # branch prediction.  Clipping y to the interior's range first leaves
-        # the interior exact and keeps the values masked out finite; a side
-        # with no block needs no clip.
-        if a and b < d:
-            x, free = y.clip(ys[a], ys[b - 1], out=ys), ~(at_zero | at_cap)
+        # x = y + gamma, then one clip to [0, t] (one-sided when a block is
+        # empty).  The shift gets +0.0 first, so x holds no -0.0.  y + gamma
+        # rounds monotonically in y, so when the four edge values land on
+        # their own sides of 0 and t, the clip pins both blocks at exactly 0
+        # and t and leaves every interior value as it is.  A rounding tie at
+        # an edge, which the sign tests accept within eps (a block value
+        # just inside (0, t), or an interior value just outside), instead
+        # writes the blocks through their masks: exact, but on masks in
+        # input order np.putmask costs about 5 times the clip.
+        shift = gamma + 0.0
+        x = np.add(y, shift, out=ys)
+        below, first, last, above = (e + shift for e in edges)
+        if (a or b < d) and not (below <= 0.0 <= first and last <= t <= above):
+            np.putmask(x, at_zero, 0.0)
+            np.putmask(x, at_cap, t)
+        elif a and b < d:
+            np.clip(x, 0.0, t, out=x)
         elif a:
-            x, free = np.maximum(y, ys[a], out=ys), ~at_zero
-        else:
-            x, free = np.minimum(y, ys[b - 1], out=ys), ~at_cap
-        x += gamma
-        x *= free
-        if b < d:
-            _add_masked(x, at_cap, t)
-        else:
-            # what adding the empty cap block adds: +0.0, which turns the
-            # -0.0 the mask leaves on a negative value into +0.0
-            x += 0.0
+            np.maximum(x, 0.0, out=x)
+        elif b < d:
+            np.minimum(x, t, out=x)
         # One re-centering pass: keeps the sum residual at rounding level
         # after the interior values are rounded at large D.
         delta = (s - float(x.sum())) / (b - a)
         if delta != 0.0:
-            _add_masked(x, free, delta)
+            _add_masked(x, ~(at_zero | at_cap), delta)
             gamma += delta
     else:
         gamma = _degenerate_gamma(ys, a, t)
@@ -358,12 +398,12 @@ def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
             # s and t: at |y|'s, [0, 1] would pass for y = [0.1, 1e17], s = 0.5
             eps = 1e-9 * max(t, s)
             ok = boundary_case_holds(ys, p.a, s, eps, t)
-            res = _assemble(y, ys, p, s, t)
+            res = _assemble(y, ys, p, s, t, None)
         else:
             # default_eps(y, t) from the extremes, which carry max |y|
             eps = 1e-9 * max(t, abs(ys.item(0)), abs(ys.item(-1)))
             edges = _edge_values(ys, p)  # read before x overwrites ys
-            res = _assemble(y, ys, p, s, t)
+            res = _assemble(y, ys, p, s, t, edges)
             ok = _signs_hold(edges, res.gamma, eps, t)
     if not ok:
         raise InconsistentCandidateError(

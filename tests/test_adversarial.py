@@ -5,12 +5,14 @@ their range (0, the smallest double, just below and at ``t*D``) and caps
 from 1e-6 to 1e6.  These reach every block pattern: no zero block, no cap
 block, neither, and no interior.  Values are at most a few caps in size, so
 every such input is in the solver's domain and must be answered.  Small D is
-checked against full enumeration, larger D against the certificate.
+checked against full enumeration, larger D against the certificate, up to
+the D = 1e6 the domain states, with outliers of -1e15 and +1e12.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +81,42 @@ def test_larger_d_certifies(inst):
     inp = ProjectionInput(y, s, t)
     res = project_capped_box(inp)
     assert certify_result(inp, res)[1].passed
+
+
+def _million(family, rng):
+    # one D = 1e6 instance of a family as (y, s, t)
+    d = 1_000_000
+    y = rng.uniform(-0.5, 0.5, d)
+    s, t = 0.3 * d, 1.0
+    if family == "ties":
+        y = np.round(y * 8.0) / 8.0
+        s = float(round(s))
+    elif family == "outlier_-1e15":
+        y[rng.integers(d)] = -1e15
+    elif family == "outlier_+1e12":
+        y[rng.integers(d)] = 1e12
+    elif family == "cap_1e3":
+        t = 1e3
+        y, s = y * 4.0 * t, 0.3 * t * d
+    elif family == "s_zero":
+        s = 0.0
+    elif family == "s_tD":
+        s = t * d
+    elif family == "cauchy":
+        y = rng.standard_cauchy(d)
+    return y, s, t
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["uniform", "ties", "outlier_-1e15", "outlier_+1e12", "cap_1e3", "s_zero", "s_tD", "cauchy"],
+)
+def test_d_of_a_million_certifies(family):
+    # the largest D in the stated domain, where the search sums whole
+    # blocks of 2^14 sorted values
+    y, s, t = _million(family, np.random.default_rng(1_000_000))
+    inp = ProjectionInput(y, s, t)
+    res = project_capped_box(inp)
+    assert certify_result(inp, res)[1].passed
+    a, b = res.partition.a, res.partition.b
+    assert int(res.at_zero.sum()) == a and int(res.at_cap.sum()) == y.size - b

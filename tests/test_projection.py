@@ -408,10 +408,146 @@ def test_guided_search_matches_two_bisections_on_adversarial_inputs(f_calls):
     assert max(excess) <= 4
 
 
+def _large_adversarial_y(rng, kind, d):
+    if kind == "ties":
+        return rng.integers(-8, 9, d) / 8.0
+    if kind == "cauchy":
+        return rng.standard_cauchy(d)
+    y = rng.uniform(-1.0, 1.0, d)  # one outlier of +-1e15 among unit values
+    y[rng.integers(d)] = rng.choice([-1e15, 1e15])
+    return y
+
+
+@pytest.mark.parametrize("d", [2**14 + 1, 3 * 2**14 + 5, 100_000])
+def test_block_sums_keep_the_split_of_two_bisections(f_calls, d):
+    # past D = 2^14, f adds the sums of whole blocks of 2^14 sorted values
+    # to the two fringes of its interior; the split is still the one that
+    # two bisections find with f summed from its definition
+    rng = np.random.default_rng(d)
+    bisections = 2 * math.ceil(math.log2(d + 1))
+    for kind in ("ties", "cauchy", "outlier"):
+        for _ in range(4):
+            y = _large_adversarial_y(rng, kind, d)
+            t = 10.0 ** rng.uniform(-2.0, 2.0)
+            s = t * (float(rng.integers(d + 1)) if rng.random() < 0.5 else rng.uniform(0.0, d))
+            ys = np.sort(y)
+            f_calls[0] = 0
+            assert projection._kink_search(ys, s, t) == _two_bisections(ys, s, t), (kind, s, t)
+            assert f_calls[0] <= bisections + 2 * projection._GUIDED, (kind, s, t, f_calls[0])
+
+
+def test_block_sums_add_up_every_slice():
+    # integers add up exactly in any order, so a value dropped or counted
+    # twice next to a block's edge shows
+    n = projection._BLOCK
+    ys = np.sort(np.random.default_rng(5).integers(1, 1000, 3 * n + 5)).astype(float)
+    assert projection._block_sums(ys[:n]) is None
+    sums = projection._block_sums(ys)
+    cuts = [0, 1, n - 1, n, n + 1, 2 * n, 3 * n - 1, 3 * n, 3 * n + 1, ys.size]
+    for lo in cuts:
+        for hi in cuts[cuts.index(lo) :]:
+            assert projection._sum(ys, sums, lo, hi) == ys[lo:hi].sum(), (lo, hi)
+
+
 def test_f_where_both_kinks_of_a_coordinate_round_together():
     # at gamma = 1e17, t - gamma rounds to -gamma: y = -1e17 has y + gamma
     # == 0 and counts at zero, so the slope is 0, never negative
-    assert projection._f(np.array([-1e17, 0.1]), 1.0, 1e17) == (1.0, 0)
+    assert projection._f(np.array([-1e17, 0.1]), None, 1.0, 1e17) == (1.0, 0)
+
+
+def _mask_product_assembly(y, s, t, p):
+    # the reference x and gamma: y clipped to the interior's range, plus
+    # gamma, times the free mask, plus t on the cap block, then one
+    # re-centering of the interior
+    ys, d, a, b = np.sort(y), y.size, p.a, p.b
+    at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
+    at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
+    gamma = gamma_for_partition(ys, p, s, t)
+    free = ~(at_zero | at_cap)
+    x = (np.clip(y, ys[a], ys[b - 1]) + gamma) * free + at_cap * t
+    delta = (s - float(x.sum())) / (b - a)
+    if delta != 0.0:
+        x += free * delta
+        gamma += delta
+    return x, gamma
+
+
+@pytest.fixture
+def putmask_calls(monkeypatch):
+    # counts the assembly's mask writes, which only a rounding tie at a
+    # block edge takes instead of the clip
+    calls = [0]
+    putmask = np.putmask
+
+    def counted(*args):
+        calls[0] += 1
+        return putmask(*args)
+
+    monkeypatch.setattr(np, "putmask", counted)
+    return calls
+
+
+def _assert_assembly_bits(y, s, t):
+    # an answer with an interior has the reference's bits, and no -0.0
+    res = project_capped_box(ProjectionInput(y, s, t))
+    assert not np.signbit(res.x[res.x == 0.0]).any()
+    if res.partition.b > res.partition.a:
+        x, gamma = _mask_product_assembly(np.asarray(y, dtype=float), s, t, res.partition)
+        assert res.x.tobytes() == x.tobytes(), (y, s, t)
+        assert np.float64(res.gamma).tobytes() == np.float64(gamma).tobytes(), (y, s, t)
+
+
+# at s = 14 * (1/3), the first value at the cap, 0.875 + gamma, rounds to
+# 0.3333333333333332, just below t = 1/3, where a clip would leave it; at
+# s = 14/3 it rounds to 0.33333333333333337, which the clip pins at t
+_TIE_Y = [-0.625, 0.75, -0.375, -0.75, -0.75, -0.75, 0.125, -0.125, 0.875, 0.75, 0.125]
+_TIE_Y += [0.125, -0.375, 0.125, 0.875, 0.5, -0.25, -0.25, 0.0, 0.625, -0.375]
+
+
+@pytest.mark.parametrize("s, writes", [(14 * (1 / 3), 2), (14 / 3, 0)])
+def test_a_rounding_tie_at_the_cap_writes_the_blocks_by_mask(putmask_calls, s, writes):
+    _assert_assembly_bits(_TIE_Y, s, 1 / 3)
+    assert putmask_calls[0] == writes
+
+
+def test_the_clip_gives_the_bits_of_the_mask_product(putmask_calls):
+    # every block pattern (both blocks, no cap block, no zero block,
+    # neither) on plain values, which take the clip
+    rng = np.random.default_rng(77)
+    for t in (1.0, 0.3, 7.3):
+        for d in (1, 2, 5, 64, 4096, 2**14 + 3):
+            y = rng.uniform(-2.0, 2.0, d) * t
+            for s in (0.1 * t, 0.5 * t * d, t * (d - 0.1), float(np.clip(y, 0.0, t).sum())):
+                _assert_assembly_bits(y, s, t)
+    assert putmask_calls[0] == 0
+
+
+def test_the_mask_writes_give_the_bits_of_the_mask_product(putmask_calls):
+    # y and s on a grid of t/8 for caps that are not powers of 2, where an
+    # edge value now and then rounds to the wrong side of 0 or the cap
+    rng = np.random.default_rng(78)
+    for i in range(2000):
+        t = (1.0, 0.3, 1 / 3, 0.1)[i % 4]
+        d = int(rng.integers(1, 40))
+        y = rng.integers(-8, 9, d) * t / 8.0
+        s = min(t * d, t * float(rng.integers(0, 8 * d + 1)) / 8.0)
+        _assert_assembly_bits(y, s, t)
+    assert putmask_calls[0] > 0
+
+
+@pytest.mark.parametrize(
+    "y, s, t",
+    [
+        ([-0.0], -0.0, 1.0),
+        ([-0.0, -0.0, 0.5], -0.0, 1.0),
+        # gamma = -5e-324 / 3 underflows to -0.0; np.clip keeps the -0.0
+        # that -0.0 + -0.0 gives on the zero block
+        ([5e-324, 5e-324, 5e-324], 1e-323, 1.0),
+        ([-0.0, 5e-324, 5e-324, 5e-324, 1.0], 2e-323, 1e-323),
+    ],
+)
+def test_no_negative_zero_in_x(y, s, t):
+    _assert_assembly_bits(y, s, t)
 
 
 def test_pinned_answer_that_misses_the_target_raises():
