@@ -29,7 +29,6 @@ from .bench import (
 from .errors import (
     CapacityError,
     CappedProjError,
-    DegeneratePartitionError,
     InconsistentCandidateError,
     InfeasibleError,
     InvalidInputError,
@@ -69,7 +68,6 @@ __all__ = [
     "DEFAULT_CLASSIFY_TOL",
     "DEFAULT_SIZES",
     "DEFAULT_TOL",
-    "DegeneratePartitionError",
     "GENERATOR_ID",
     "InconsistentCandidateError",
     "InfeasibleError",

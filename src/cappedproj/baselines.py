@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .projection import ProjectionInput
+from .projection import ProjectionInput, _vector
 
 
 @dataclass
@@ -52,11 +52,7 @@ def project_simplex(y, s: float) -> np.ndarray:
     Sort descending, find the largest k whose threshold keeps the top k
     coordinates positive, and shift those by it; the rest clip to zero.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 1:
-        raise InvalidInputError("y must be a one-dimensional vector with D >= 1")
-    if not np.isfinite(y).all():
-        raise InvalidInputError("y contains non-finite entries")
+    y = _vector(y)
     s = float(s)
     if not np.isfinite(s) or s < 0.0:
         raise InvalidInputError(f"sum target must be nonnegative, got {s}")

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
 from .baselines import SolverConfig
-from .bench import DEFAULT_SIZES, METHODS, BenchPlan, run_benchmark, summarize, write_records
+from .bench import (
+    DEFAULT_SIZES, METHODS, BenchPlan, _solve_timed, run_benchmark, summarize, write_records
+)
 from .errors import CappedProjError
 from .kkt import DEFAULT_TOL, certify
 from .oracle import GENERATOR_ID, InstanceSpec, random_instance
@@ -36,7 +37,7 @@ def read_vector(path) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     tokens = []
     for line in lines:
@@ -133,11 +134,9 @@ def _cmd_compare(args) -> int:
 
     rows = []
     for method in args.methods:
-        t0 = time.perf_counter()
-        x, iters, converged, certify_step = METHODS[method](inp, config)
-        elapsed = time.perf_counter() - t0
+        x, iters, converged, elapsed, residual = _solve_timed(method, inp, config)
         diff = float(np.max(np.abs(x - reference)))
-        rows.append((method, iters, converged, elapsed, certify_step().max_residual, diff))
+        rows.append((method, iters, converged, elapsed, residual, diff))
 
     print(f"{'method':<8} {'iters':>8} {'converged':>9} {'seconds':>12} "
           f"{'max_kkt_residual':>17} {'max_diff_vs_exact':>18}")

@@ -13,10 +13,6 @@ class InfeasibleError(CappedProjError, ValueError):
     """The requested sum target makes the feasible set empty."""
 
 
-class DegeneratePartitionError(CappedProjError, ValueError):
-    """A partition with an empty interior was passed where one is required."""
-
-
 class InconsistentCandidateError(CappedProjError, ValueError):
     """A candidate solution does not match its claimed zero/interior/one split."""
 

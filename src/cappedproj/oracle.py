@@ -1,12 +1,13 @@
 """Brute-force reference solver and reproducible random instances.
 
 The reference solver shares no solving code with the fast path, only the
-input checks of ``ProjectionInput`` and the tolerance ``default_eps``.  It
-enumerates all 3^D ways to pin each coordinate at 0, leave it interior, or
-pin it at 1, solves the shift gamma from the sum constraint for each
-labeling, and keeps the one whose optimality margins all hold.  Exactly one
-labeling passes (up to ties within tolerance), and its assembled vector is
-the projection.
+input checks of ``ProjectionInput``.  It solves the unit cap alone, so its
+tolerance ``default_eps`` is ``1e-9 * max(1, max|y|)``, the solver's eps at
+``t = 1``.  It enumerates all 3^D ways to pin each coordinate at 0, leave it
+interior, or pin it at 1, solves the shift gamma from the sum constraint for
+each labeling, and keeps the one whose optimality margins all hold.  Exactly
+one labeling passes (up to ties within tolerance), and its assembled vector
+is the projection.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _enumerate_labeled(y: np.ndarray, s: float, tol: float):
     return x, best_labels, best_gamma
 
 
-def enumerate_oracle(y, s: float, tol: float | None = None) -> np.ndarray:
+def enumerate_oracle(y, s: float) -> np.ndarray:
     """Projection of y onto {x : sum(x) = s, 0 <= x <= 1} by full enumeration.
 
     Exponential in D and refused above ORACLE_MAX_DIM; intended as an
@@ -140,7 +141,5 @@ def enumerate_oracle(y, s: float, tol: float | None = None) -> np.ndarray:
         raise CapacityError(
             f"enumeration needs 3^D labelings; D={inp.dim} exceeds the limit {ORACLE_MAX_DIM}"
         )
-    if tol is None:
-        tol = default_eps(inp.y)
-    x, _, _ = _enumerate_labeled(inp.y, inp.s, tol)
+    x, _, _ = _enumerate_labeled(inp.y, inp.s, default_eps(inp.y))
     return x

@@ -27,17 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegeneratePartitionError,
-    InconsistentCandidateError,
-    InfeasibleError,
-    InvalidInputError,
-)
+from .errors import InconsistentCandidateError, InfeasibleError, InvalidInputError
 
 
-def default_eps(y, t: float = 1.0) -> float:
-    """Comparison tolerance for the optimality tests, scaled to the cap and the data."""
-    return 1e-9 * max(t, float(np.abs(y).max()))
+def default_eps(y) -> float:
+    """Comparison tolerance at the unit cap, scaled to the data: ``1e-9 * max(1, max|y|)``."""
+    return 1e-9 * max(1.0, float(np.abs(y).max()))
+
+
+def _vector(y) -> np.ndarray:
+    """y as a contiguous float64 vector; refuses any other shape, D = 0 and non-finite entries."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or y.size < 1:
+        raise InvalidInputError("y must be a one-dimensional vector with D >= 1")
+    if not np.isfinite(y).all():
+        raise InvalidInputError("y contains non-finite entries")
+    return np.ascontiguousarray(y)
 
 
 @dataclass
@@ -49,11 +54,7 @@ class ProjectionInput:
     t: float = 1.0
 
     def __post_init__(self):
-        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
-        if self.y.ndim != 1 or self.y.size < 1:
-            raise InvalidInputError("y must be a one-dimensional vector with D >= 1")
-        if not np.isfinite(self.y).all():
-            raise InvalidInputError("y contains non-finite entries")
+        self.y = _vector(self.y)
         self.s = float(self.s)
         self.t = float(self.t)
         if not math.isfinite(self.t) or self.t <= 0.0:
@@ -82,10 +83,6 @@ class SortedInstance:
     y_sorted: np.ndarray
     perm: np.ndarray
     prefix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.y_sorted.size
 
 
 @dataclass
@@ -122,11 +119,7 @@ class ProjectionResult:
 
 def sort_with_permutation(y) -> SortedInstance:
     """Stable ascending sort of y together with its permutation and prefix sums."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 1:
-        raise InvalidInputError("y must be a one-dimensional vector with D >= 1")
-    if not np.isfinite(y).all():
-        raise InvalidInputError("y contains non-finite entries")
+    y = _vector(y)
     perm = np.argsort(y, kind="stable")
     y_sorted = np.ascontiguousarray(y[perm])
     prefix = np.zeros(y.size + 1)
@@ -142,26 +135,10 @@ def gamma_for_partition(ys: np.ndarray, p: Partition, s: float, t: float = 1.0) 
     ``gamma = (s - t*(D - b) - sum(y_a..y_b)) / (b - a)``.  The interior is
     summed directly (pairwise) rather than as a difference of prefix sums,
     which loses the interior to cancellation next to a large outlier.
+    Needs ``b > a``.
     """
-    if p.a == p.b:
-        raise DegeneratePartitionError(
-            f"gamma is undefined for an empty interior (a = b = {p.a})"
-        )
     interior = float(ys[p.a : p.b].sum())
     return (s - t * (ys.size - p.b) - interior) / (p.b - p.a)
-
-
-def partition_is_optimal(
-    ys: np.ndarray, p: Partition, gamma: float, eps: float, t: float = 1.0
-) -> bool:
-    """Sign tests certifying that (a, b, gamma) assembles the minimizer.
-
-    ``ys`` is y sorted ascending.  Requires ``y_a + gamma <= 0 < y_{a+1} +
-    gamma`` and ``y_b + gamma < t <= y_{b+1} + gamma`` (1-based, sorted),
-    each widened by eps; comparisons against the virtual entries y_0 = -inf
-    and y_{D+1} = +inf are skipped.  Assumes 0 <= a < b <= D.
-    """
-    return _signs_hold(_edge_values(ys, p), gamma, eps, t)
 
 
 def _edge_values(ys: np.ndarray, p: Partition):
@@ -177,8 +154,10 @@ def _edge_values(ys: np.ndarray, p: Partition):
 
 
 def _signs_hold(edges, gamma: float, eps: float, t: float) -> bool:
-    # a virtual neighbor's test reads -inf or +inf (NaN at an infinite
-    # gamma), which passes, as skipping it would
+    # y_a + gamma <= 0 < y_{a+1} + gamma and y_b + gamma < t <= y_{b+1} +
+    # gamma, each widened by eps, for edges = _edge_values(ys, p) with
+    # 0 <= a < b <= D.  A virtual neighbor's test reads -inf or +inf (NaN at
+    # an infinite gamma), which passes, as skipping it would.
     below, first, last, above = edges
     return (
         not below + gamma > eps
@@ -400,7 +379,7 @@ def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
             ok = boundary_case_holds(ys, p.a, s, eps, t)
             res = _assemble(y, ys, p, s, t, None)
         else:
-            # default_eps(y, t) from the extremes, which carry max |y|
+            # 1e-9 * max(t, max|y|), with max|y| read off the sorted extremes
             eps = 1e-9 * max(t, abs(ys.item(0)), abs(ys.item(-1)))
             edges = _edge_values(ys, p)  # read before x overwrites ys
             res = _assemble(y, ys, p, s, t, edges)

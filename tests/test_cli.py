@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line interface via cli_dispatch."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cappedproj
 from cappedproj import METHODS, read_records
 from cappedproj import cli
 from cappedproj.cli import cli_dispatch, format_vector, read_vector, write_vector
@@ -14,6 +20,14 @@ def vec_file(tmp_path):
     # the typographic minus is deliberate: pasted vectors often carry it
     path = tmp_path / "vec.txt"
     path.write_text("0.3 −0.2 1.5\n")
+    return str(path)
+
+
+@pytest.fixture
+def not_utf8_file(tmp_path):
+    # a UTF-16 byte-order mark: not valid UTF-8
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe0\x00.\x005\x00")
     return str(path)
 
 
@@ -88,6 +102,18 @@ class TestProject:
         assert cli_dispatch(["project", "--s", "1", "--input", str(path)]) == 4
         assert "pineapple" in capsys.readouterr().err
 
+    def test_not_utf8_file_exits_4(self, not_utf8_file, capsys):
+        assert cli_dispatch(["project", "--s", "0", "--input", not_utf8_file]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    def test_output_into_a_missing_directory_exits_4(self, vec_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.txt"
+        code = cli_dispatch(["project", "--s", "2", "--input", vec_file, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("error: cannot write") and captured.out == ""
+
 
 class TestVerify:
     def test_exact_output_verifies(self, vec_file, tmp_path, capsys):
@@ -151,6 +177,12 @@ class TestVerify:
         assert "passed true" in capsys.readouterr().out
         assert cli_dispatch(verify) == 1
         assert "passed false" in capsys.readouterr().out
+
+    def test_not_utf8_against_file_exits_4(self, vec_file, not_utf8_file, capsys):
+        code = cli_dispatch(["verify", "--s", "2", "--input", vec_file, "--against", not_utf8_file])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("error: cannot read") and "passed" not in captured.out
 
 
 class TestCompare:
@@ -220,6 +252,14 @@ class TestBench:
         assert code == 4
         assert err.startswith("error: cannot write") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--sizes", "1,x"], ["--methods", ","]], ids=["sizes", "methods"]
+    )
+    def test_bad_list_exits_2(self, tmp_path, capsys, flags):
+        assert cli_dispatch(["bench", *flags, "--csv", str(tmp_path / "x.csv")]) == 2
+        assert f"argument {flags[0]}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
     def test_unwritable_csv_fails_before_the_grid_runs(self, tmp_path, capsys, monkeypatch):
         def no_run(plan):
@@ -270,3 +310,19 @@ class TestDispatchBasics:
     def test_no_arguments_exits_2(self, capsys):
         assert cli_dispatch([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("s, code", [("2", 0), ("4", 3)], ids=["solved", "infeasible"])
+    def test_module_entry_point_exits_with_the_dispatch_code(self, vec_file, s, code):
+        # main() hands cli_dispatch's return value to sys.exit
+        src = str(Path(cappedproj.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-m", "cappedproj.cli", "project", "--s", s, "--input", vec_file],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+            timeout=60,
+        )
+        assert run.returncode == code, run.stderr
+        if code == 0:
+            assert run.stdout == "0.75 0.25 1\n"
+        else:
+            assert run.stderr.startswith("error:") and "infeasible" in run.stderr

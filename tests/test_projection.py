@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cappedproj import (
-    DegeneratePartitionError,
     InconsistentCandidateError,
     InfeasibleError,
     InvalidInputError,
@@ -22,14 +21,16 @@ from cappedproj import (
     enumerate_oracle,
     project_capped_box,
     project_capped_simplex,
+    project_simplex,
     sort_with_permutation,
 )
 from cappedproj import projection
 from cappedproj.projection import (
+    _edge_values,
+    _signs_hold,
     boundary_case_holds,
     default_eps,
     gamma_for_partition,
-    partition_is_optimal,
 )
 
 
@@ -68,6 +69,34 @@ class TestProjectionInput:
         ProjectionInput([0.0, 0.0], 0.0)
         ProjectionInput([0.0, 0.0], 2.0)
         ProjectionInput([0.0, 0.0], 1.0, t=0.5)
+
+
+# every entry point that takes a raw y refuses the same vectors, with the same message
+@pytest.mark.parametrize(
+    "entry",
+    [lambda y: ProjectionInput(y, 0.0), sort_with_permutation, lambda y: project_simplex(y, 1.0)],
+    ids=["ProjectionInput", "sort_with_permutation", "project_simplex"],
+)
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        (np.ones((2, 3)), "one-dimensional"),
+        (np.array([]), "one-dimensional"),
+        (np.float64(0.5), "one-dimensional"),
+        (np.array([0.0, np.nan]), "non-finite"),
+        (np.array([1.0, -np.inf]), "non-finite"),
+    ],
+    ids=["2-D", "empty", "0-D", "nan", "inf"],
+)
+def test_every_entry_point_refuses_a_bad_vector(entry, y, message):
+    with pytest.raises(InvalidInputError, match=message):
+        entry(y)
+
+
+class TestPartition:
+    def test_a_past_b_rejected(self):
+        with pytest.raises(InvalidInputError, match="0 <= a <= b"):
+            Partition(2, 1)
 
 
 class TestSortWithPermutation:
@@ -114,37 +143,37 @@ class TestGammaForPartition:
         g = gamma_for_partition(ys, Partition(1, 4), 1.5)
         assert abs(g - 0.3) < 1e-15
 
-    def test_empty_interior_rejected(self):
-        ys = np.sort(np.array([0.1, 0.9]))
-        with pytest.raises(DegeneratePartitionError):
-            gamma_for_partition(ys, Partition(1, 1), 1.0)
+
+def _signs(ys, p, gamma, eps):
+    # the sign tests as project_capped_box runs them, at the unit cap
+    return _signs_hold(_edge_values(ys, p), gamma, eps, 1.0)
 
 
 class TestPartitionIsOptimal:
     def test_accepts_the_true_split(self):
         ys = np.sort(np.array([-2.0, 0.5, 3.0]))
-        assert partition_is_optimal(ys, Partition(1, 2), 0.0, 1e-9)
+        assert _signs(ys, Partition(1, 2), 0.0, 1e-9)
 
     def test_rejects_wrong_shift(self):
         ys = np.sort(np.array([-2.0, 0.5, 3.0]))
-        assert not partition_is_optimal(ys, Partition(1, 2), 0.7, 1e-9)
-        assert not partition_is_optimal(ys, Partition(1, 2), -0.6, 1e-9)
+        assert not _signs(ys, Partition(1, 2), 0.7, 1e-9)
+        assert not _signs(ys, Partition(1, 2), -0.6, 1e-9)
 
     def test_rejects_wrong_split(self):
         ys = np.sort(np.array([-2.0, 0.5, 3.0]))
         g = gamma_for_partition(ys, Partition(0, 2), 1.5)
-        assert not partition_is_optimal(ys, Partition(0, 2), g, 1e-9)
+        assert not _signs(ys, Partition(0, 2), g, 1e-9)
 
     def test_virtual_neighbors_are_skipped(self):
         # a = 0 has no zero block and b = D has no one block; the tests
         # against those neighbors must not fire
         ys = np.sort(np.array([0.1, 0.2]))
-        assert partition_is_optimal(ys, Partition(0, 2), 0.35, 1e-9)
+        assert _signs(ys, Partition(0, 2), 0.35, 1e-9)
 
     def test_tolerance_widens_acceptance(self):
         ys = np.sort(np.array([-2.0, 0.5, 3.0]))
-        assert not partition_is_optimal(ys, Partition(1, 2), 0.51, 1e-9)
-        assert partition_is_optimal(ys, Partition(1, 2), 0.51, 0.1)
+        assert not _signs(ys, Partition(1, 2), 0.51, 1e-9)
+        assert _signs(ys, Partition(1, 2), 0.51, 0.1)
 
 
 class TestBoundaryCaseHolds:
@@ -730,7 +759,3 @@ class TestDefaultEps:
     def test_scales_with_magnitude(self):
         assert default_eps(np.array([0.1, -0.2])) == 1e-9
         assert default_eps(np.array([100.0, -3.0])) == 1e-9 * 100.0
-
-    def test_scales_with_the_cap(self):
-        assert default_eps(np.array([0.1, -0.2]), 5.0) == 1e-9 * 5.0
-        assert default_eps(np.array([100.0, -3.0]), 5.0) == 1e-9 * 100.0
