@@ -26,7 +26,7 @@ print("shift gamma :", res.gamma)
 # smallest entries move by gamma, and the largest hits the cap.  The masks
 # at_zero and at_cap mark the same blocks in the input order.
 a, b = res.partition.a, res.partition.b
-print(f"partition   : {a} zeros | {b - a} interior | {inp.dim - b} ones")
+print(f"partition   : {a} zeros | {b - a} interior | {y.size - b} ones")
 print("at_cap mask :", res.at_cap)
 
 # Enumeration over all 3^D pin/interior labelings gives an independent answer.

@@ -8,19 +8,13 @@ to check, so every solve can be verified after the fact.
 
 import numpy as np
 
-from cappedproj import (
-    InstanceSpec,
-    certify,
-    certify_result,
-    project_capped_simplex,
-    random_instance,
-)
+from cappedproj import certify, certify_result, project_capped_simplex, random_instance
 
-inp = random_instance(InstanceSpec(D=1000, seed=42))
+inp = random_instance(1000, 42)
 res = project_capped_simplex(inp)
 cert, report = certify_result(inp, res)
 
-print(f"instance           : D={inp.dim}, s={inp.s}")
+print(f"instance           : D={inp.y.size}, s={inp.s}")
 print(f"stationarity       : {report.stationarity_residual:.3e}")
 print(f"bounds (low, high) : {report.primal_lower:.3e}, {report.primal_upper:.3e}")
 print(f"sum constraint     : {report.sum_residual:.3e}")

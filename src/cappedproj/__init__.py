@@ -11,7 +11,6 @@ from .baselines import (
     IterativeResult,
     SolverConfig,
     admm_project,
-    clamp_upper,
     dykstra_project,
     project_simplex,
 )
@@ -44,7 +43,6 @@ from .kkt import (
 from .oracle import (
     GENERATOR_ID,
     ORACLE_MAX_DIM,
-    InstanceSpec,
     enumerate_oracle,
     random_instance,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "GENERATOR_ID",
     "InconsistentCandidateError",
     "InfeasibleError",
-    "InstanceSpec",
     "InvalidInputError",
     "IterativeResult",
     "KktCertificate",
@@ -85,7 +82,6 @@ __all__ = [
     "admm_project",
     "certify",
     "certify_result",
-    "clamp_upper",
     "dykstra_project",
     "enumerate_oracle",
     "project_capped_box",

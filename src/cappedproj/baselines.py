@@ -4,8 +4,8 @@ Both methods split the capped simplex into two easy sets: the plain simplex
 {sum(x) = s, x >= 0} and the box {x <= cap}.  Dykstra's scheme alternates
 exact projections with correction terms and converges to the projection onto
 the intersection; a plain alternating scheme would not.  The operator
-splitting method (ADMM) carries a scaled dual vector and converges for any
-penalty rho > 0 on this pair of sets.
+splitting method (ADMM) carries a scaled dual vector, with the penalty fixed
+at 1; it converges for any positive penalty on this pair of sets.
 """
 
 from __future__ import annotations
@@ -15,25 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .projection import ProjectionInput, _vector
+from .projection import ProjectionInput, _vector, _whole
 
 
 @dataclass
 class SolverConfig:
-    """Stopping tolerance, iteration budget, and the ADMM penalty."""
+    """Stopping tolerance and iteration budget."""
 
     tol: float = 1e-8
     max_iters: int = 100_000
-    rho: float = 1.0
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise InvalidInputError(f"tol must be positive, got {self.tol}")
-        if int(self.max_iters) < 1:
+        self.max_iters = _whole(self.max_iters, "max_iters")
+        if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
-        self.max_iters = int(self.max_iters)
-        if not self.rho > 0.0:
-            raise InvalidInputError(f"rho must be positive, got {self.rho}")
 
 
 @dataclass
@@ -43,7 +40,6 @@ class IterativeResult:
     x: np.ndarray
     iterations: int
     converged: bool
-    final_change: float
 
 
 def project_simplex(y, s: float) -> np.ndarray:
@@ -66,11 +62,6 @@ def project_simplex(y, s: float) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
-def clamp_upper(x, cap: float) -> np.ndarray:
-    """Euclidean projection onto {x : x <= cap}, i.e. coordinatewise min."""
-    return np.minimum(np.asarray(x, dtype=np.float64), cap)
-
-
 def dykstra_project(inp: ProjectionInput, config: SolverConfig | None = None) -> IterativeResult:
     """Dykstra's alternating projections onto the simplex and the cap box.
 
@@ -85,14 +76,13 @@ def dykstra_project(inp: ProjectionInput, config: SolverConfig | None = None) ->
     p = np.zeros_like(y)
     q = np.zeros_like(y)
     converged = False
-    change = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         w = x + p
         u = project_simplex(w, s)
         p = w - u
         w = u + q
-        v = clamp_upper(w, cap)
+        v = np.minimum(w, cap)  # the projection onto the box {x <= cap}
         q = w - v
         change = float(np.max(np.abs(v - x)))
         x = v
@@ -101,7 +91,7 @@ def dykstra_project(inp: ProjectionInput, config: SolverConfig | None = None) ->
         if change <= cfg.tol and gap <= cfg.tol:
             converged = True
             break
-    return IterativeResult(x=x, iterations=iterations, converged=converged, final_change=change)
+    return IterativeResult(x=x, iterations=iterations, converged=converged)
 
 
 def admm_project(inp: ProjectionInput, config: SolverConfig | None = None) -> IterativeResult:
@@ -115,24 +105,20 @@ def admm_project(inp: ProjectionInput, config: SolverConfig | None = None) -> It
     """
     cfg = config if config is not None else SolverConfig()
     y, s, cap = inp.y, inp.s, inp.t
-    d = inp.dim
-    rho = cfg.rho
     z = y.copy()
     u = np.zeros_like(y)
     x = y.copy()
     converged = False
-    change = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        x = np.clip((y + rho * (z - u)) / (1.0 + rho), 0.0, cap)
+        x = np.clip((y + (z - u)) / 2.0, 0.0, cap)
         w = x + u
-        z_new = w + (s - float(w.sum())) / d
+        z_new = w + (s - float(w.sum())) / y.size
         u += x - z_new
         primal = float(np.max(np.abs(x - z_new)))
         step = float(np.max(np.abs(z_new - z)))
         z = z_new
-        change = max(primal, step)
-        if change <= cfg.tol:
+        if max(primal, step) <= cfg.tol:
             converged = True
             break
-    return IterativeResult(x=x, iterations=iterations, converged=converged, final_change=change)
+    return IterativeResult(x=x, iterations=iterations, converged=converged)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import SolverConfig, admm_project, dykstra_project
+from .baselines import admm_project, dykstra_project
 from .errors import CapacityError, InvalidInputError
 from .kkt import certify, certify_result
-from .oracle import ORACLE_MAX_DIM, InstanceSpec, enumerate_oracle, random_instance
-from .projection import project_capped_box
+from .oracle import ORACLE_MAX_DIM, enumerate_oracle, random_instance
+from .projection import _whole, project_capped_box
 
 
 def _exact(inp, config):
@@ -38,7 +38,7 @@ def _iterative(solver):
 def _oracle(inp, config):
     # the oracle solves the unit cap only, so it alone rescales by t
     t = inp.t
-    x = t * enumerate_oracle(inp.y / t, min(inp.s / t, float(inp.dim)))
+    x = t * enumerate_oracle(inp.y / t, min(inp.s / t, float(inp.y.size)))
     return x, 1, True, lambda: certify(inp, x)[1]
 
 
@@ -80,14 +80,16 @@ class BenchPlan:
     base_seed: int = 0
 
     def __post_init__(self):
-        self.sizes = tuple(int(d) for d in self.sizes)
+        self.sizes = tuple(_whole(d, "size") for d in self.sizes)
         self.methods = tuple(self.methods)
-        self.repetitions = int(self.repetitions)
-        self.base_seed = int(self.base_seed)
+        self.repetitions = _whole(self.repetitions, "repetitions")
+        self.base_seed = _whole(self.base_seed, "base_seed")
         if not self.sizes or any(d < 1 for d in self.sizes):
             raise InvalidInputError("sizes must be a nonempty list of positive dimensions")
         if self.repetitions < 1:
             raise InvalidInputError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.base_seed < 0:
+            raise InvalidInputError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.methods:
             raise InvalidInputError("methods must name at least one solver")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -107,24 +109,24 @@ def _solve_timed(method, inp, config):
     return x, iters, converged, elapsed, certify_step().max_residual
 
 
-def run_benchmark(plan: BenchPlan, *, config: SolverConfig | None = None) -> list[BenchRecord]:
+def run_benchmark(plan: BenchPlan) -> list[BenchRecord]:
     """Records for every (size, repetition, method) triple in the plan.
 
     Before any timing, each requested method is run once on a small throwaway
     instance so one-time costs (imports, allocator warm-up) do not land
     in the first measurement.
     """
-    warmup = random_instance(InstanceSpec(D=4, seed=plan.base_seed))
+    warmup = random_instance(4, plan.base_seed)
     for method in plan.methods:
-        _solve_timed(method, warmup, config)
+        _solve_timed(method, warmup, None)
 
     records = []
     for d in plan.sizes:
         for rep in range(plan.repetitions):
             seed = plan.base_seed + rep
-            inp = random_instance(InstanceSpec(D=d, seed=seed))
+            inp = random_instance(d, seed)
             for method in plan.methods:
-                _, _, converged, elapsed, residual = _solve_timed(method, inp, config)
+                _, _, converged, elapsed, residual = _solve_timed(method, inp, None)
                 records.append(
                     BenchRecord(
                         method=method,

@@ -18,7 +18,7 @@ from .bench import (
 )
 from .errors import CappedProjError
 from .kkt import DEFAULT_TOL, certify
-from .oracle import GENERATOR_ID, InstanceSpec, random_instance
+from .oracle import GENERATOR_ID, random_instance
 from .projection import ProjectionInput, project_capped_box
 
 DEFAULT_DIGITS = 17
@@ -173,11 +173,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = InstanceSpec(D=args.d, seed=args.seed)
-    inp = random_instance(spec)
-    comment = f"D={spec.D} seed={spec.seed} s={inp.s:.17g} generator={GENERATOR_ID}"
+    inp = random_instance(args.d, args.seed)
+    comment = f"D={args.d} seed={args.seed} s={inp.s:.17g} generator={GENERATOR_ID}"
     write_vector(args.output, inp.y, comment=comment)
-    print(f"wrote D={spec.D} seed={spec.seed} s={inp.s:.17g} to {args.output}")
+    print(f"wrote D={args.d} seed={args.seed} s={inp.s:.17g} to {args.output}")
     return 0
 
 

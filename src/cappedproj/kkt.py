@@ -358,9 +358,9 @@ def certify(
 
 
 def certify_result(
-    inp: ProjectionInput, res: ProjectionResult, tol: float = DEFAULT_TOL
+    inp: ProjectionInput, res: ProjectionResult
 ) -> tuple[KktCertificate, KktReport]:
-    """Certificate for the exact solver's own output.
+    """Certificate for the exact solver's own output, at tolerance ``DEFAULT_TOL``.
 
     Uses the blocks the solver reports, ``res.at_zero`` and ``res.at_cap``,
     instead of re-classifying coordinates, so interior values that happen to
@@ -374,14 +374,14 @@ def certify_result(
     zero = np.asarray(res.at_zero, dtype=bool)
     one = np.asarray(res.at_cap, dtype=bool)
     if zero.shape != x.shape or one.shape != x.shape:
-        raise InvalidInputError(f"block masks must have the dimension {inp.dim}")
+        raise InvalidInputError(f"block masks must have the dimension {x.size}")
     p = res.partition
     n_zero, n_cap = np.count_nonzero(zero), np.count_nonzero(one)
-    if n_zero != p.a or n_cap != inp.dim - p.b:
+    if n_zero != p.a or n_cap != x.size - p.b:
         raise InconsistentCandidateError(
             f"blocks of sizes {n_zero} (zero) and {n_cap} (cap) do not match the "
-            f"partition (a={p.a}, b={p.b}) at D={inp.dim}"
+            f"partition (a={p.a}, b={p.b}) at D={x.size}"
         )
     gamma = float(res.gamma)
-    report = _measure(inp, x, gamma, zero, one, tol, check=True, sizes=(n_zero, n_cap))
+    report = _measure(inp, x, gamma, zero, one, DEFAULT_TOL, check=True, sizes=(n_zero, n_cap))
     return KktCertificate(inp.y, gamma, zero, one, inp.t), report

@@ -12,12 +12,10 @@ is the projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .projection import ProjectionInput, default_eps
+from .projection import ProjectionInput, _whole
 
 ORACLE_MAX_DIM = 14
 
@@ -26,32 +24,26 @@ GENERATOR_ID = "philox4x64-10"
 _CHUNK = 1 << 18
 
 
-@dataclass
-class InstanceSpec:
-    """Dimension and seed identifying one random instance."""
-
-    D: int
-    seed: int
-
-    def __post_init__(self):
-        self.D = int(self.D)
-        self.seed = int(self.seed)
-        if self.D < 1:
-            raise InvalidInputError(f"dimension must be >= 1, got {self.D}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be a nonnegative integer, got {self.seed}")
+def default_eps(y) -> float:
+    """Comparison tolerance at the unit cap, scaled to the data: ``1e-9 * max(1, max|y|)``."""
+    return 1e-9 * max(1.0, float(np.abs(y).max()))
 
 
-def random_instance(spec: InstanceSpec) -> ProjectionInput:
+def random_instance(D: int, seed: int) -> ProjectionInput:
     """Instance with y uniform on [-0.5, 0.5)^D and integer s in {0, ..., D}.
 
     Uses a counter-based generator keyed only by the seed, so the same
     (D, seed) pair yields the same instance on any platform.
     """
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    y = rng.random(spec.D) - 0.5
+    D, seed = _whole(D, "dimension"), _whole(seed, "seed")
+    if D < 1:
+        raise InvalidInputError(f"dimension must be >= 1, got {D}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    y = rng.random(D) - 0.5
     # floor(u*D + 0.5) rounds half up, keeping s integral and within [0, D]
-    s = float(np.floor(rng.random() * spec.D + 0.5))
+    s = float(np.floor(rng.random() * D + 0.5))
     return ProjectionInput(y=y, s=s)
 
 
@@ -137,9 +129,9 @@ def enumerate_oracle(y, s: float) -> np.ndarray:
     independent reference for testing the fast solver, not for use at scale.
     """
     inp = ProjectionInput(y=y, s=s)
-    if inp.dim > ORACLE_MAX_DIM:
+    if inp.y.size > ORACLE_MAX_DIM:
         raise CapacityError(
-            f"enumeration needs 3^D labelings; D={inp.dim} exceeds the limit {ORACLE_MAX_DIM}"
+            f"enumeration needs 3^D labelings; D={inp.y.size} exceeds the limit {ORACLE_MAX_DIM}"
         )
     x, _, _ = _enumerate_labeled(inp.y, inp.s, default_eps(inp.y))
     return x

@@ -30,11 +30,6 @@ import numpy as np
 from .errors import InconsistentCandidateError, InfeasibleError, InvalidInputError
 
 
-def default_eps(y) -> float:
-    """Comparison tolerance at the unit cap, scaled to the data: ``1e-9 * max(1, max|y|)``."""
-    return 1e-9 * max(1.0, float(np.abs(y).max()))
-
-
 def _vector(y) -> np.ndarray:
     """y as a contiguous float64 vector; refuses any other shape, D = 0 and non-finite entries."""
     y = np.asarray(y, dtype=np.float64)
@@ -43,6 +38,14 @@ def _vector(y) -> np.ndarray:
     if not np.isfinite(y).all():
         raise InvalidInputError("y contains non-finite entries")
     return np.ascontiguousarray(y)
+
+
+def _whole(v, name: str) -> int:
+    """v as an int; refuses a value that int() would truncate, such as 2.7."""
+    n = int(v)
+    if n != v:
+        raise InvalidInputError(f"{name} must be a whole number, got {v!r}")
+    return n
 
 
 @dataclass
@@ -67,22 +70,13 @@ class ProjectionInput:
                 f"{{sum(x)={self.s}, 0<=x<={self.t}}} is empty for D={self.y.size}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.y.size
-
 
 @dataclass
 class SortedInstance:
-    """y sorted ascending, the sort permutation, and prefix sums.
-
-    ``perm`` maps sorted position to original index (``y_sorted = y[perm]``);
-    ``prefix[k]`` is the sum of the k smallest entries, ``prefix[0] = 0``.
-    """
+    """y sorted ascending and the permutation that maps sorted position to original index."""
 
     y_sorted: np.ndarray
     perm: np.ndarray
-    prefix: np.ndarray
 
 
 @dataclass
@@ -118,13 +112,11 @@ class ProjectionResult:
 
 
 def sort_with_permutation(y) -> SortedInstance:
-    """Stable ascending sort of y together with its permutation and prefix sums."""
+    """Stable ascending sort of y together with its permutation (``y_sorted = y[perm]``)."""
     y = _vector(y)
     perm = np.argsort(y, kind="stable")
     y_sorted = np.ascontiguousarray(y[perm])
-    prefix = np.zeros(y.size + 1)
-    np.cumsum(y_sorted, out=prefix[1:])
-    return SortedInstance(y_sorted=y_sorted, perm=perm, prefix=prefix)
+    return SortedInstance(y_sorted=y_sorted, perm=perm)
 
 
 def gamma_for_partition(ys: np.ndarray, p: Partition, s: float, t: float = 1.0) -> float:

@@ -5,12 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from cappedproj import (
-    InstanceSpec,
     InvalidInputError,
     ProjectionInput,
     SolverConfig,
     admm_project,
-    clamp_upper,
     dykstra_project,
     enumerate_oracle,
     project_capped_box,
@@ -23,15 +21,13 @@ from cappedproj import (
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.tol == 1e-8 and cfg.max_iters == 100_000 and cfg.rho == 1.0
+        assert cfg.tol == 1e-8 and cfg.max_iters == 100_000
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             SolverConfig(tol=0.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(max_iters=0)
-        with pytest.raises(InvalidInputError):
-            SolverConfig(rho=-1.0)
 
 
 class TestProjectSimplex:
@@ -76,14 +72,6 @@ class TestProjectSimplex:
             project_simplex(np.array([np.nan]), 1.0)
 
 
-class TestClampUpper:
-    def test_basic(self):
-        npt.assert_array_equal(clamp_upper(np.array([0.2, 1.7, -3.0]), 1.0), [0.2, 1.0, -3.0])
-
-    def test_general_cap(self):
-        npt.assert_array_equal(clamp_upper(np.array([0.2, 1.7]), 0.5), [0.2, 0.5])
-
-
 class TestDykstra:
     def test_feasible_start_converges_immediately(self):
         y = np.array([0.25, 0.5, 0.25])
@@ -99,27 +87,22 @@ class TestDykstra:
 
     def test_matches_exact_solver(self):
         for seed in range(20):
-            inp = random_instance(InstanceSpec(D=60, seed=seed))
+            inp = random_instance(60, seed)
             res = dykstra_project(inp)
             exact = project_capped_simplex(inp).x
             assert res.converged
             assert np.max(np.abs(res.x - exact)) <= 1e-6, seed
 
     def test_iterate_respects_the_cap_exactly(self):
-        inp = random_instance(InstanceSpec(D=80, seed=5))
+        inp = random_instance(80, 5)
         res = dykstra_project(inp)
         assert res.x.max() <= 1.0
 
     def test_iteration_budget_respected(self):
-        inp = random_instance(InstanceSpec(D=50, seed=3))
+        inp = random_instance(50, 3)
         res = dykstra_project(inp, SolverConfig(tol=1e-16, max_iters=3))
         assert not res.converged
         assert res.iterations == 3
-
-    def test_final_change_reported(self):
-        inp = random_instance(InstanceSpec(D=50, seed=4))
-        res = dykstra_project(inp)
-        assert 0.0 <= res.final_change <= 1e-8
 
 
 class TestAdmm:
@@ -137,28 +120,20 @@ class TestAdmm:
 
     def test_matches_exact_solver(self):
         for seed in range(20):
-            inp = random_instance(InstanceSpec(D=60, seed=100 + seed))
+            inp = random_instance(60, 100 + seed)
             res = admm_project(inp)
             exact = project_capped_simplex(inp).x
             assert res.converged
             assert np.max(np.abs(res.x - exact)) <= 1e-6, seed
 
     def test_iterate_stays_in_the_box_exactly(self):
-        inp = random_instance(InstanceSpec(D=80, seed=6))
+        inp = random_instance(80, 6)
         res = admm_project(inp)
         assert res.x.min() >= 0.0
         assert res.x.max() <= 1.0
 
-    def test_penalty_choices_all_converge(self):
-        inp = random_instance(InstanceSpec(D=40, seed=7))
-        exact = project_capped_simplex(inp).x
-        for rho in (0.1, 1.0, 10.0):
-            res = admm_project(inp, SolverConfig(rho=rho))
-            assert res.converged, rho
-            assert np.max(np.abs(res.x - exact)) <= 1e-5, rho
-
     def test_iteration_budget_respected(self):
-        inp = random_instance(InstanceSpec(D=50, seed=8))
+        inp = random_instance(50, 8)
         res = admm_project(inp, SolverConfig(tol=1e-16, max_iters=4))
         assert not res.converged
         assert res.iterations == 4

@@ -9,6 +9,8 @@ from cappedproj import (
     BenchPlan,
     BenchRecord,
     InvalidInputError,
+    SolverConfig,
+    random_instance,
     read_records,
     run_benchmark,
     summarize,
@@ -35,10 +37,35 @@ class TestBenchPlan:
             BenchPlan(sizes=(10,), repetitions=0)
         with pytest.raises(InvalidInputError):
             BenchPlan(sizes=(10,), methods=("simplex-annealing",))
+        with pytest.raises(InvalidInputError):
+            BenchPlan(sizes=(10,), base_seed=-1)
 
     def test_oracle_capacity_checked_before_any_run(self):
         with pytest.raises(CapacityError):
             BenchPlan(sizes=(50,), methods=("exact", "oracle"))
+
+
+# int() would truncate each count: D=2, one repetition, D=3, one iteration
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BenchPlan(sizes=(2.7,)),
+        lambda: BenchPlan(sizes=(10,), repetitions=1.9),
+        lambda: random_instance(3.9, 0),
+        lambda: SolverConfig(max_iters=1.5),
+    ],
+    ids=["sizes", "repetitions", "random_instance", "max_iters"],
+)
+def test_a_count_that_is_not_whole_is_refused(make):
+    with pytest.raises(InvalidInputError, match="whole number"):
+        make()
+
+
+def test_whole_floats_and_numpy_integers_are_counts():
+    plan = BenchPlan(sizes=(5.0, np.int64(7)), repetitions=np.int32(2), base_seed=3.0)
+    assert plan.sizes == (5, 7) and plan.repetitions == 2 and plan.base_seed == 3
+    assert random_instance(np.int64(4), 1.0).y.size == 4
+    assert SolverConfig(max_iters=5.0).max_iters == 5
 
 
 class TestRunBenchmark:

@@ -252,6 +252,13 @@ class TestBench:
         assert code == 4
         assert err.startswith("error: cannot write") and err.count("\n") == 1
 
+    def test_negative_seed_exits_3_and_writes_no_file(self, tmp_path, capsys):
+        path = tmp_path / "new.csv"
+        code = cli_dispatch(["bench", "--sizes", "6", "--seed", "-1", "--csv", str(path)])
+        assert code == 3
+        assert "base_seed" in capsys.readouterr().err
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "flags", [["--sizes", "1,x"], ["--methods", ","]], ids=["sizes", "methods"]
     )

@@ -1,4 +1,4 @@
-"""Every script in ``demos/`` runs to completion.
+"""Every script in ``demos/`` runs to completion, and README.md names every export.
 
 Each demo runs in its own interpreter with the checkout's ``src/`` on the
 path, as a reader would run it, and in a scratch directory, since demo 04
@@ -7,11 +7,14 @@ multipliers, which are built on first read.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import cappedproj
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -33,3 +36,9 @@ def test_demo_exits_0(demo, tmp_path):
         cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", cappedproj.__all__)
+def test_every_public_name_is_in_the_readme(name):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.search(rf"(?<!\w){name}(?!\w)", readme), f"README.md does not name {name}"

@@ -9,12 +9,11 @@ from cappedproj import (
     ORACLE_MAX_DIM,
     CapacityError,
     InfeasibleError,
-    InstanceSpec,
     InvalidInputError,
     enumerate_oracle,
     random_instance,
 )
-from cappedproj.oracle import _enumerate_labeled
+from cappedproj.oracle import _enumerate_labeled, default_eps
 
 
 def _random_feasible(rng, d, s, parts=5):
@@ -113,34 +112,40 @@ class TestEnumerateOracle:
 
 class TestRandomInstance:
     def test_deterministic_for_a_given_spec(self):
-        a = random_instance(InstanceSpec(D=12, seed=42))
-        b = random_instance(InstanceSpec(D=12, seed=42))
+        a = random_instance(12, 42)
+        b = random_instance(12, 42)
         npt.assert_array_equal(a.y, b.y)
         assert a.s == b.s
 
     def test_different_seeds_differ(self):
-        a = random_instance(InstanceSpec(D=12, seed=0))
-        b = random_instance(InstanceSpec(D=12, seed=1))
+        a = random_instance(12, 0)
+        b = random_instance(12, 1)
         assert not np.array_equal(a.y, b.y)
 
     def test_ranges_and_integrality(self):
         for seed in range(50):
-            inp = random_instance(InstanceSpec(D=9, seed=seed))
+            inp = random_instance(9, seed)
             assert inp.y.min() >= -0.5 and inp.y.max() < 0.5
             assert inp.s == int(inp.s)
             assert 0.0 <= inp.s <= 9.0
 
     def test_values_center_near_zero(self):
-        inp = random_instance(InstanceSpec(D=4000, seed=7))
+        inp = random_instance(4000, 7)
         assert abs(inp.y.mean()) < 0.02
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
-            InstanceSpec(D=0, seed=1)
+            random_instance(0, 1)
         with pytest.raises(InvalidInputError):
-            InstanceSpec(D=5, seed=-1)
+            random_instance(5, -1)
 
     def test_generator_id_is_pinned(self):
         # the identifier travels into benchmark files; changing it silently
         # would break cross-machine reproducibility claims
         assert GENERATOR_ID == "philox4x64-10"
+
+
+class TestDefaultEps:
+    def test_scales_with_magnitude(self):
+        assert default_eps(np.array([0.1, -0.2])) == 1e-9
+        assert default_eps(np.array([100.0, -3.0])) == 1e-9 * 100.0
