@@ -6,7 +6,7 @@ optimality residual of the returned vector, so accuracy and speed land in
 the same table.
 """
 
-from cappedproj import GENERATOR_ID, BenchPlan, run_benchmark, summarize, write_records
+from cappedproj import BenchPlan, run_benchmark, summarize, write_records
 
 plan = BenchPlan(
     sizes=(50, 100, 500, 1000, 5000),
@@ -24,7 +24,7 @@ for (method, d), st in summarize(records).items():
     )
 
 out = "bench_demo.csv"
-write_records(out, records, metadata={"generator": GENERATOR_ID, "base_seed": plan.base_seed})
+write_records(out, records)
 print()
 print(f"wrote {len(records)} records to {out}")
 print("the same table is available from the command line:")

@@ -20,7 +20,6 @@ from .bench import (
     METHODS,
     BenchPlan,
     BenchRecord,
-    read_records,
     run_benchmark,
     summarize,
     write_records,
@@ -88,7 +87,6 @@ __all__ = [
     "project_capped_simplex",
     "project_simplex",
     "random_instance",
-    "read_records",
     "run_benchmark",
     "sort_with_permutation",
     "summarize",

@@ -26,8 +26,8 @@ class SolverConfig:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise InvalidInputError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidInputError(f"tol must be a positive finite number, got {self.tol}")
         self.max_iters = _whole(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")

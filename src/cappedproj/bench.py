@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import admm_project, dykstra_project
 from .errors import CapacityError, InvalidInputError
 from .kkt import certify, certify_result
-from .oracle import ORACLE_MAX_DIM, enumerate_oracle, random_instance
+from .oracle import GENERATOR_ID, ORACLE_MAX_DIM, enumerate_oracle, random_instance
 from .projection import _whole, project_capped_box
 
 
@@ -158,14 +158,14 @@ def summarize(records) -> dict:
     return out
 
 
-def write_records(path, records, metadata: dict | None = None) -> None:
-    """CSV with a fixed header; optional metadata goes in one '#' comment line.
+def write_records(path, records) -> None:
+    """CSV with a fixed header after one '#' line naming the generator and the seed base.
 
-    Floats are written with repr so a read-back compares equal.
+    The seed base is the smallest seed among the records; floats are written
+    with repr so that parsing them back gives the same doubles.
     """
     with open(path, "w", newline="") as fh:
-        if metadata:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
+        fh.write(f"# generator={GENERATOR_ID} base_seed={min(r.seed for r in records)}\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
@@ -180,29 +180,3 @@ def write_records(path, records, metadata: dict | None = None) -> None:
                     "true" if r.converged else "false",
                 ]
             )
-
-
-def read_records(path) -> list[BenchRecord]:
-    """Inverse of write_records; '#' lines are skipped, the header is required."""
-    records = []
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(line for line in fh if not line.startswith("#"))]
-    if not rows or tuple(rows[0]) != CSV_COLUMNS:
-        raise InvalidInputError(f"expected header {list(CSV_COLUMNS)} in {path}")
-    for row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise InvalidInputError(f"malformed row in {path}: {row}")
-        records.append(
-            BenchRecord(
-                method=row[0],
-                D=int(row[1]),
-                s=float(row[2]),
-                seed=int(row[3]),
-                wall_time_seconds=float(row[4]),
-                max_kkt_residual=float(row[5]),
-                converged=row[6] == "true",
-            )
-        )
-    return records

@@ -8,16 +8,15 @@ unreadable or unwritable files.  Diagnostics are one line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from .baselines import SolverConfig
-from .bench import (
-    DEFAULT_SIZES, METHODS, BenchPlan, _solve_timed, run_benchmark, summarize, write_records
-)
+from .bench import METHODS, BenchPlan, _solve_timed, run_benchmark, summarize, write_records
 from .errors import CappedProjError
-from .kkt import DEFAULT_TOL, certify
+from .kkt import DEFAULT_TOL, KktReport, certify
 from .oracle import GENERATOR_ID, random_instance
 from .projection import ProjectionInput, project_capped_box
 
@@ -31,8 +30,8 @@ class FileFormatError(Exception):
 def read_vector(path) -> np.ndarray:
     """Vector from a UTF-8 text file: numbers split on whitespace/newlines.
 
-    Lines starting with '#' are comments; the typographic minus sign is
-    accepted alongside the ASCII one.
+    A '#' starts a comment that runs to the end of its line; the typographic
+    minus sign is accepted alongside the ASCII one.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -41,10 +40,7 @@ def read_vector(path) -> np.ndarray:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     tokens = []
     for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens.extend(stripped.replace("−", "-").split())
+        tokens.extend(line.split("#", 1)[0].replace("−", "-").split())
     values = []
     for tok in tokens:
         try:
@@ -111,16 +107,9 @@ def _cmd_verify(args) -> int:
     y = read_vector(args.against)
     inp = ProjectionInput(y=y, s=args.s, t=args.cap)
     _, report = certify(inp, x, tol=args.tol)
-    for name in (
-        "stationarity_residual",
-        "primal_lower",
-        "primal_upper",
-        "sum_residual",
-        "dual_residual",
-        "cs_residual",
-    ):
+    residuals = [f.name for f in dataclasses.fields(KktReport) if f.name != "passed"]
+    for name in residuals + ["max_residual"]:
         print(f"{name} {getattr(report, name):.17g}")
-    print(f"max_residual {report.max_residual:.17g}")
     print(f"passed {'true' if report.passed else 'false'}")
     return 0 if report.passed else 1
 
@@ -157,11 +146,7 @@ def _cmd_bench(args) -> int:
         # fail on a bad path before the grid runs; mode "a" leaves a file as it is
         open(args.csv, "a").close()
         records = run_benchmark(plan)
-        write_records(
-            args.csv,
-            records,
-            metadata={"generator": GENERATOR_ID, "base_seed": plan.base_seed},
-        )
+        write_records(args.csv, records)
     except OSError as exc:
         raise FileFormatError(f"cannot write {args.csv}: {exc}") from exc
     print(f"{'method':<8} {'D':>8} {'runs':>5} {'mean_seconds':>13} {'max_kkt_residual':>17}")
@@ -186,19 +171,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Euclidean projection onto {x : sum(x) = s, 0 <= x <= cap}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the instance options of project, verify and compare
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--s", type=float, required=True, help="sum target")
+    instance.add_argument("--cap", type=float, default=1.0, help="upper bound per coordinate")
 
-    p = sub.add_parser("project", help="project a vector and print or save the result")
-    p.add_argument("--s", type=float, required=True, help="sum target")
-    p.add_argument("--cap", type=float, default=1.0, help="upper bound per coordinate")
+    p = sub.add_parser(
+        "project", parents=[instance], help="project a vector and print or save the result"
+    )
     p.add_argument("--input", required=True, help="file with the vector to project")
     p.add_argument("--output", help="write the projection here instead of stdout")
     p.add_argument("--digits", type=_digits, default=DEFAULT_DIGITS,
                    help="significant digits to print")
     p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("verify", help="check a candidate solution's optimality residuals")
-    p.add_argument("--s", type=float, required=True, help="sum target")
-    p.add_argument("--cap", type=float, default=1.0, help="upper bound per coordinate")
+    p = sub.add_parser(
+        "verify", parents=[instance], help="check a candidate solution's optimality residuals"
+    )
     p.add_argument("--input", required=True, help="file with the candidate solution x")
     p.add_argument("--against", required=True, help="file with the original vector y")
     p.add_argument(
@@ -209,21 +198,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("compare", help="run several methods on one instance")
-    p.add_argument("--s", type=float, required=True, help="sum target")
-    p.add_argument("--cap", type=float, default=1.0, help="upper bound per coordinate")
+    p = sub.add_parser("compare", parents=[instance], help="run several methods on one instance")
     p.add_argument("--input", required=True, help="file with the vector to project")
     p.add_argument("--methods", type=_method_list, default="exact,dykstra,admm")
-    p.add_argument("--tol", type=float, default=1e-8, help="iterative stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol,
+                   help="iterative stopping tolerance")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("bench", help="time methods over a grid of sizes, write CSV")
-    p.add_argument("--sizes", type=_int_list, default=DEFAULT_SIZES,
+    p.add_argument("--sizes", type=_int_list, default=BenchPlan.sizes,
                    help="comma-separated dimensions (default: built-in grid)")
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--methods", type=_method_list, default="exact")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=int, default=BenchPlan.repetitions)
+    p.add_argument("--methods", type=_method_list, default=BenchPlan.methods)
+    p.add_argument("--seed", type=int, default=BenchPlan.base_seed)
     p.add_argument("--csv", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_bench)
 

@@ -41,9 +41,14 @@ from .projection import _BLOCK, ProjectionInput, ProjectionResult
 DEFAULT_TOL = 1e-8
 
 # classification slack: how far a coordinate may sit from a bound and still
-# count as pinned there; looser than DEFAULT_TOL on purpose, since iterative
-# candidates land near bounds without touching them
+# count as pinned there.  Looser than DEFAULT_TOL on purpose, since iterative
+# candidates land near bounds without touching them; at cap t it is
+# DEFAULT_CLASSIFY_TOL * min(1, t), so that a small cap never lies within it
 DEFAULT_CLASSIFY_TOL = 1e-7
+
+
+def _slack(cap) -> float:
+    return DEFAULT_CLASSIFY_TOL * min(1.0, cap)
 
 
 def _force(y, gamma, zero, one, cap, alpha, beta, alpha_on=True, beta_on=True) -> None:
@@ -143,7 +148,7 @@ _MISFITS = (
 
 
 def _classify(x, cap):
-    ctol = DEFAULT_CLASSIFY_TOL
+    ctol = _slack(cap)
     zero = x <= ctol
     return zero, (x >= cap - ctol) & ~zero
 
@@ -159,7 +164,7 @@ def _count_misfits(x, zero, one, cap, work, flag, alpha_on, beta_on) -> tuple[in
     # one count per entry of _MISFITS: entries both blocks claim, and entries
     # more than the classification slack from the bound they are claimed at;
     # a block left out (alpha_on or beta_on False) is empty and counts 0
-    ctol = DEFAULT_CLASSIFY_TOL
+    ctol = _slack(cap)
     both = off_zero = off_cap = 0
     if alpha_on and beta_on:
         both = np.count_nonzero(np.logical_and(zero, one, out=flag))
@@ -293,7 +298,7 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
                 raise InconsistentCandidateError(message)
         # the blocks sit within the slack of 0 and cap by now, so only an
         # interior entry can leave [-slack, cap + slack]
-        ctol = DEFAULT_CLASSIFY_TOL
+        ctol = _slack(t)
         if x_min < -ctol or x_max > t + ctol:
             raise InconsistentCandidateError("candidate leaves [0, cap] in its claimed interior")
     lower = float(_max(0.0, -x_min))
@@ -329,18 +334,14 @@ def _estimate_gamma(y, x, cap, zero, one):
 
 
 def certify(
-    inp: ProjectionInput,
-    x,
-    gamma: float | None = None,
-    *,
-    tol: float = DEFAULT_TOL,
+    inp: ProjectionInput, x, *, tol: float = DEFAULT_TOL
 ) -> tuple[KktCertificate, KktReport]:
     """Certificate and residual report for any candidate vector.
 
     Works from the candidate alone.  Coordinates within
-    ``DEFAULT_CLASSIFY_TOL`` of a bound are classified as pinned there, and
-    gamma is estimated from the others when not supplied.  Once gamma is
-    known, a coordinate stays pinned only where the multiplier it forces is
+    ``DEFAULT_CLASSIFY_TOL * min(1, t)`` of a bound are classified as pinned
+    there, and gamma is estimated from the others.  Given gamma, a
+    coordinate stays pinned only where the multiplier it forces is
     nonnegative: at 0 if ``y + gamma <= 0``, at the cap if
     ``y + gamma >= t``.  Every other coordinate is judged as interior, by
     stationarity, so the dual residual is 0 by construction.  Every residual
@@ -348,7 +349,7 @@ def certify(
     """
     x = _candidate(inp, x)
     zero, one = _classify(x, inp.t)
-    gamma = float(_estimate_gamma(inp.y, x, inp.t, zero, one) if gamma is None else gamma)
+    gamma = _estimate_gamma(inp.y, x, inp.t, zero, one)
     shifted = inp.y + gamma
     zero &= shifted <= 0.0
     one &= shifted >= inp.t
@@ -366,8 +367,8 @@ def certify_result(
     instead of re-classifying coordinates, so interior values that happen to
     sit near a bound are not misread as pinned.  Their sizes must match the
     reported partition: ``a`` zeros and ``D - b`` at the cap.  They must not
-    overlap, x must be within ``DEFAULT_CLASSIFY_TOL`` of 0 and of the cap on
-    them and inside ``[0, cap]`` elsewhere; these checks run in the same pass
+    overlap, x must be within ``DEFAULT_CLASSIFY_TOL * min(1, t)`` of 0 and
+    of the cap on them and inside ``[0, cap]`` elsewhere; these checks run in the same pass
     as the residuals.
     """
     x = _candidate(inp, res.x)

@@ -1,5 +1,7 @@
 """Tests for the benchmark harness and its CSV format."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from cappedproj import (
     InvalidInputError,
     SolverConfig,
     random_instance,
-    read_records,
     run_benchmark,
     summarize,
     write_records,
@@ -126,51 +127,41 @@ class TestSummarize:
             assert st["mean_time"] >= 0.0
 
 
+def _rows(path):
+    # the CSV's rows after its '#' line, header first
+    with open(path, newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+
 class TestCsvRoundTrip:
     def test_everything_survives(self, tmp_path):
         plan = BenchPlan(sizes=(10,), repetitions=2, methods=("exact", "dykstra"))
         records = run_benchmark(plan)
         path = tmp_path / "bench.csv"
-        write_records(path, records, metadata={"generator": "philox4x64-10"})
-        back = read_records(path)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert (a.method, a.D, a.seed, a.converged) == (b.method, b.D, b.seed, b.converged)
-            assert a.s == b.s
-            assert a.wall_time_seconds == b.wall_time_seconds
-            assert a.max_kkt_residual == b.max_kkt_residual
+        write_records(path, records)
+        header, *rows = _rows(path)
+        assert tuple(header) == CSV_COLUMNS
+        assert len(rows) == len(records)
+        for a, b in zip(records, rows):
+            assert (a.method, a.D, a.seed) == (b[0], int(b[1]), int(b[3]))
+            assert a.s == float(b[2])
+            assert a.wall_time_seconds == float(b[4])
+            assert a.max_kkt_residual == float(b[5])
+            assert b[6] == ("true" if a.converged else "false")
 
     def test_header_and_comment_layout(self, tmp_path):
         path = tmp_path / "bench.csv"
-        rec = BenchRecord("exact", 5, 2.0, 0, 1e-5, 1e-12, True)
-        write_records(path, [rec], metadata={"generator": "philox4x64-10", "base_seed": 0})
+        recs = [BenchRecord("exact", 5, 2.0, seed, 1e-5, 1e-12, True) for seed in (4, 3)]
+        write_records(path, recs)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("# ")
-        assert "philox4x64-10" in lines[0]
+        assert lines[0] == "# generator=philox4x64-10 base_seed=3"
         assert lines[1] == ",".join(CSV_COLUMNS)
-
-    def test_no_comment_without_metadata(self, tmp_path):
-        path = tmp_path / "bench.csv"
-        write_records(path, [BenchRecord("exact", 5, 2.0, 0, 1e-5, 1e-12, True)])
-        assert path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("method,D\nexact,5\n")
-        with pytest.raises(InvalidInputError):
-            read_records(path)
-
-    def test_malformed_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(",".join(CSV_COLUMNS) + "\nexact,5\n")
-        with pytest.raises(InvalidInputError):
-            read_records(path)
 
     def test_float_fields_exact_after_round_trip(self, tmp_path):
         rec = BenchRecord("admm", 3, 1.0, 9, 0.1 + 0.2, 3.0e-17, False)
         path = tmp_path / "one.csv"
         write_records(path, [rec])
-        back = read_records(path)[0]
-        assert back.wall_time_seconds == rec.wall_time_seconds
-        assert back.max_kkt_residual == rec.max_kkt_residual
-        assert back.converged is False
+        row = _rows(path)[1]
+        assert float(row[4]) == rec.wall_time_seconds
+        assert float(row[5]) == rec.max_kkt_residual
+        assert row[6] == "false"

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via cli_dispatch."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import cappedproj
-from cappedproj import METHODS, read_records
+from cappedproj import CSV_COLUMNS, METHODS
 from cappedproj import cli
 from cappedproj.cli import cli_dispatch, format_vector, read_vector, write_vector
 
@@ -36,6 +37,12 @@ class TestReadWriteVector:
         path = tmp_path / "v.txt"
         path.write_text("# a comment\n0.5\t 1e-3\n-2.25\n\n# trailing\n")
         npt.assert_array_equal(read_vector(path), [0.5, 1e-3, -2.25])
+
+    def test_comment_after_numbers(self, tmp_path, capsys):
+        path = tmp_path / "v.txt"
+        path.write_text("0.3 -0.2 1.5  # y\n")
+        assert cli_dispatch(["project", "--s", "2", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "0.75 0.25 1\n"
 
     def test_unicode_minus(self, vec_file):
         npt.assert_array_equal(read_vector(vec_file), [0.3, -0.2, 1.5])
@@ -116,15 +123,21 @@ class TestProject:
 
 
 class TestVerify:
-    def test_exact_output_verifies(self, vec_file, tmp_path, capsys):
-        out = tmp_path / "x.txt"
-        cli_dispatch(["project", "--s", "2", "--input", vec_file, "--output", str(out)])
-        code = cli_dispatch(["verify", "--s", "2", "--input", str(out), "--against", vec_file])
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "passed true" in captured
-        assert "stationarity_residual" in captured
-        assert "sum_residual" in captured
+    def test_exact_output_verifies(self, tmp_path, capsys):
+        # README's vector, and the same vector at a cap far below the
+        # classification slack's 1e-7
+        for cap in (1.0, 1e-9):
+            vec, out = tmp_path / "vec.txt", tmp_path / "x.txt"
+            write_vector(vec, cap * np.array([0.3, -0.2, 1.5]))
+            instance = ["--s", repr(2 * cap), "--cap", repr(cap)]
+            project = ["project", *instance, "--input", str(vec), "--output", str(out)]
+            assert cli_dispatch(project) == 0
+            code = cli_dispatch(["verify", *instance, "--input", str(out), "--against", str(vec)])
+            captured = capsys.readouterr().out
+            assert code == 0, cap
+            assert "passed true" in captured
+            assert "stationarity_residual" in captured
+            assert "sum_residual" in captured
 
     def test_corrupted_candidate_fails(self, vec_file, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -213,6 +226,21 @@ class TestCompare:
         capsys.readouterr()
         assert code == 2
 
+    def test_infinite_tol_exits_3(self, vec_file, capsys):
+        # at tol=inf the iterative methods would stop after one step as converged
+        code = cli_dispatch(["compare", "--s", "2", "--input", vec_file, "--tol", "inf"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "tol" in captured.err and captured.out == ""
+
+
+def _rows_without_times(path):
+    # a bench CSV's rows, header first, each without its wall time
+    column = CSV_COLUMNS.index("wall_time_seconds")
+    with open(path, newline="") as fh:
+        rows = csv.reader(line for line in fh if not line.startswith("#"))
+        return [row[:column] + row[column + 1:] for row in rows]
+
 
 class TestBench:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
@@ -224,9 +252,9 @@ class TestBench:
         out = capsys.readouterr().out
         assert code == 0
         assert "wrote 8 records" in out
-        records = read_records(csv_path)
-        assert len(records) == 8
-        assert csv_path.read_text().startswith("# generator=philox4x64-10")
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "# generator=philox4x64-10 base_seed=3"
+        assert len(lines) == 2 + 8
 
     def test_deterministic_non_time_columns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -234,9 +262,7 @@ class TestBench:
         assert cli_dispatch(args + ["--csv", str(a)]) == 0
         assert cli_dispatch(args + ["--csv", str(b)]) == 0
         capsys.readouterr()
-        ra, rb = read_records(a), read_records(b)
-        keyed = lambda rs: [(r.method, r.D, r.s, r.seed, r.max_kkt_residual, r.converged) for r in rs]
-        assert keyed(ra) == keyed(rb)
+        assert _rows_without_times(a) == _rows_without_times(b)
 
     def test_oracle_beyond_capacity_exits_3(self, tmp_path, capsys):
         code = cli_dispatch(

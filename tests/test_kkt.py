@@ -56,7 +56,7 @@ class TestRecoverMultipliers:
 
     def test_classification_path_without_partition(self):
         inp = ProjectionInput([0.3, -0.2, 1.5], 2.0)
-        cert, report = certify(inp, np.array([0.75, 0.25, 1.0]), 0.45)
+        cert, report = certify(inp, np.array([0.75, 0.25, 1.0]))
         assert cert.gamma == 0.45
         npt.assert_array_equal(cert.alpha, np.zeros(3))
         npt.assert_allclose(cert.beta, [0.0, 0.0, 0.95], atol=1e-12)
@@ -206,8 +206,9 @@ class TestNanCandidates:
     def test_inf_in_x_with_no_zero_block(self):
         x = np.array([0.75, 0.25, np.inf])
         with np.errstate(invalid="ignore"):  # 0 * inf, as in the formulas
-            cert, report = certify(self.inp, x, 0.45)
+            cert, report = certify(self.inp, x)
             want = _certify_reference_bits(self.inp, x, 0.45)
+        assert cert.gamma == 0.45
         assert not cert.alpha.any() and cert.beta[2] > 0.0
         assert np.isnan(report.cs_residual)  # alpha * x = -0 * inf
         assert _report_bits(report) == want
@@ -234,11 +235,13 @@ class TestNanCandidates:
         ],
     )
     def test_finite_gamma_that_overflows_with_y(self, y, s, t, x, gamma):
-        # gamma and x are finite here: only y + gamma - t tells the skip off
-        inp, x = ProjectionInput(y, s, t), np.array(x)
+        # gamma and x are finite here: only y + gamma - t tells the skip off;
+        # the blocks are those certify would read off x at this gamma
+        inp = ProjectionInput(y, s, t)
+        res = _result(x, gamma, [v == 0.0 for v in x], [v == t for v in x])
         with np.errstate(over="ignore", invalid="ignore"):
-            cert, report = certify(inp, x, gamma)
-            want = _certify_reference_bits(inp, x, gamma)
+            report = certify_result(inp, res)[1]
+            want = _certify_reference_bits(inp, res.x, gamma)
         assert _report_bits(report) == want
         assert np.isnan(report.max_residual)
 
@@ -253,6 +256,13 @@ class TestCertify:
             cert, report = certify(inp, res.x)
             assert report.passed
             assert abs(cert.gamma - res.gamma) <= 1e-9
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-7, 1.0, 1e6, 1e12])
+    def test_exact_answer_passes_at_every_cap(self, t):
+        # README's instance scaled by t: with a slack that does not shrink
+        # with the cap, every coordinate reads as pinned once t reaches it
+        inp = ProjectionInput(t * np.array([0.3, -0.2, 1.5]), 2.0 * t, t)
+        assert certify(inp, project_capped_box(inp).x)[1].passed
 
     def test_all_pinned_candidate(self):
         y = np.array([0.4, -0.7, 0.2])
@@ -513,7 +523,7 @@ def _reference_bits(inp, x, alpha, beta, gamma):
 def _certify_reference_bits(inp, x, gamma):
     # the report fields certify gives for x and gamma: its classification,
     # then the whole-array expressions
-    ctol = 1e-7
+    ctol = 1e-7 * min(1.0, inp.t)
     shifted = inp.y + gamma
     zero = (x <= ctol) & (shifted <= 0.0)
     one = (x >= inp.t - ctol) & ~(x <= ctol) & (shifted >= inp.t)
@@ -592,7 +602,7 @@ class TestBlockEdges:
         # force alpha < 0 there, so it is judged interior and fails stationarity
         x[-3] = 3e-8
         cert, report = certify(inp, x)
-        ctol = 1e-7
+        ctol = 1e-7 * min(1.0, inp.t)
         interior = (x > ctol) & (x < inp.t - ctol)
         assert cert.gamma == float(np.mean(x[interior] - inp.y[interior]))
         shifted = inp.y + cert.gamma
