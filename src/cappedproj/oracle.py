@@ -56,14 +56,21 @@ def _labels_chunk(lo: int, hi: int, d: int) -> np.ndarray:
     return out
 
 
-def _enumerate_labeled(y: np.ndarray, s: float, tol: float):
-    """Best labeling over all 3^D candidates.
+def enumerate_oracle(y, s: float) -> np.ndarray:
+    """Projection of y onto {x : sum(x) = s, 0 <= x <= 1} by full enumeration.
 
-    Returns (x, labels, gamma) where labels[i] is 0, 1, or 2 for pinned at
-    zero, interior, pinned at one.  For an all-pinned winner gamma is the
-    midpoint of the interval of valid sum multipliers.
+    Exponential in D and refused above ORACLE_MAX_DIM; intended as an
+    independent reference for testing the fast solver, not for use at scale.
+    Labels each coordinate 0, 1 or 2 for pinned at zero, interior or pinned
+    at one, and returns the vector of the labeling with the smallest margin
+    violation over all 3^D candidates.
     """
-    d = y.size
+    inp = ProjectionInput(y=y, s=s)
+    y, s, d = inp.y, inp.s, inp.y.size
+    if d > ORACLE_MAX_DIM:
+        raise CapacityError(
+            f"enumeration needs 3^D labelings; D={d} exceeds the limit {ORACLE_MAX_DIM}"
+        )
     total = 3**d
     best_viol = np.inf
     best_labels = None
@@ -103,35 +110,9 @@ def _enumerate_labeled(y: np.ndarray, s: float, tol: float):
             best_labels = labels[j].copy()
             best_gamma = float(gamma[j])
 
-    if best_labels is None or best_viol > tol:
+    if best_labels is None or best_viol > default_eps(y):
         raise RuntimeError(
             f"enumeration found no labeling within tolerance (best margin {best_viol:.3e})"
         )
-
-    if not (best_labels == 1).any():
-        zmax = y[best_labels == 0].max() if (best_labels == 0).any() else -np.inf
-        omin = y[best_labels == 2].min() if (best_labels == 2).any() else np.inf
-        lower, upper = 1.0 - omin, -zmax
-        if np.isfinite(lower) and np.isfinite(upper):
-            best_gamma = 0.5 * (lower + upper)
-        elif np.isfinite(lower):
-            best_gamma = lower
-        else:
-            best_gamma = upper
-    x = np.where(best_labels == 2, 1.0, np.where(best_labels == 1, y + best_gamma, 0.0))
-    return x, best_labels, best_gamma
-
-
-def enumerate_oracle(y, s: float) -> np.ndarray:
-    """Projection of y onto {x : sum(x) = s, 0 <= x <= 1} by full enumeration.
-
-    Exponential in D and refused above ORACLE_MAX_DIM; intended as an
-    independent reference for testing the fast solver, not for use at scale.
-    """
-    inp = ProjectionInput(y=y, s=s)
-    if inp.y.size > ORACLE_MAX_DIM:
-        raise CapacityError(
-            f"enumeration needs 3^D labelings; D={inp.y.size} exceeds the limit {ORACLE_MAX_DIM}"
-        )
-    x, _, _ = _enumerate_labeled(inp.y, inp.s, default_eps(inp.y))
-    return x
+    # an all-pinned winner has no interior, so its gamma is never read
+    return np.where(best_labels == 2, 1.0, np.where(best_labels == 1, y + best_gamma, 0.0))

@@ -10,14 +10,15 @@ step on f predicts each edge: about 5 evaluations of f per solve, at most
 ``2*ceil(log2(D+1)) + 12``.  Each sums the interior pairwise, in
 ``O(log D + interior)`` up to D = 2^14; above that, from the sums of the
 whole blocks of 2^14 sorted values, taken once per solve, plus the two
-fringes, in ``O(log D + 2^14 + D/2^14)``.  It then solves ``gamma`` from the
-sum constraint and checks the split with the optimality sign tests.  They say
-the bound multipliers that stationarity forces on the split are nonnegative,
-so a split that passes them satisfies the full first-order system and is the
-minimizer.  A split that fails them raises instead of being returned.  The
-answer is ``y + gamma`` in the input order, clipped once to ``[0, t]``: a
-split never cuts a group of equal values, so each block is an exact
-comparison of y against one sorted value.
+fringes, in ``O(log D + 2^14 + D/2^14)``.  The search returns the shift
+``gamma`` with the split, solved from the sum constraint with the interior
+summed as f sums it, and the solver checks the split with the optimality
+sign tests.  They say the bound multipliers that stationarity forces on the
+split are nonnegative, so a split that passes them satisfies the full
+first-order system and is the minimizer.  A split that fails them raises
+instead of being returned.  The answer is ``y + gamma`` in the input order,
+clipped once to ``[0, t]``: a split never cuts a group of equal values, so
+each block is an exact comparison of y against one sorted value.
 """
 
 from __future__ import annotations
@@ -117,20 +118,6 @@ def sort_with_permutation(y) -> SortedInstance:
     perm = np.argsort(y, kind="stable")
     y_sorted = np.ascontiguousarray(y[perm])
     return SortedInstance(y_sorted=y_sorted, perm=perm)
-
-
-def gamma_for_partition(ys: np.ndarray, p: Partition, s: float, t: float = 1.0) -> float:
-    """Shift applied to the interior so that the output sums to s.
-
-    ``ys`` is y sorted ascending.  With a zeros and D - b entries at the cap
-    t fixed, the sum constraint forces
-    ``gamma = (s - t*(D - b) - sum(y_a..y_b)) / (b - a)``.  The interior is
-    summed directly (pairwise) rather than as a difference of prefix sums,
-    which loses the interior to cancellation next to a large outlier.
-    Needs ``b > a``.
-    """
-    interior = float(ys[p.a : p.b].sum())
-    return (s - t * (ys.size - p.b) - interior) / (p.b - p.a)
 
 
 def _edge_values(ys: np.ndarray, p: Partition):
@@ -263,7 +250,7 @@ def _block_edge(ys, sums, s, t, cap, lo, guess):
 
 
 def _kink_search(ys: np.ndarray, s: float, t: float):
-    """Split (a, b) of the sorted coordinates for the sum target s and cap t.
+    """Split (a, b) of the sorted coordinates, and its shift, for the sum target s and cap t.
 
     ``f(gamma) = sum(clip(y + gamma, 0, t))`` is nondecreasing and piecewise
     linear, with kinks at ``-y_k`` (coordinate k leaves 0) and ``t - y_k``
@@ -281,17 +268,23 @@ def _kink_search(ys: np.ndarray, s: float, t: float):
     a full bisection, ``2*ceil(log2(D+1)) + 12`` evaluations of f: at most
     ``O(D log D)``, the sort's order.  The one case where f is flat at level
     s, the all-pinned split (s a multiple of t, a gap of t), is tested first.
-    Past it, one pass takes the block sums that every probe, and the start
-    guess, then share.
+    Past it, one pass takes the block sums that every probe, the start
+    guess and the shift then share.
+
+    Returns ``(a, b, gamma)``.  With an interior, the sum constraint forces
+    ``gamma = (s - t*(D - b) - sum(y_a..y_b)) / (b - a)``, the interior
+    summed as f sums it.  An all-pinned split returns ``_degenerate_gamma``.
     """
     d = ys.size
     a = d - round(s / t)
     if boundary_case_holds(ys, a, s, 0.0, t):
-        return a, a
+        return a, a, _degenerate_gamma(ys, a, t)
     sums = _block_sums(ys)
     a, guess = _block_edge(ys, sums, s, t, cap=False, lo=0, guess=(s - _sum(ys, sums, 0, d)) / d)
     b, _ = _block_edge(ys, sums, s, t, cap=True, lo=a, guess=guess)
-    return a, b
+    if a == b:
+        return a, a, _degenerate_gamma(ys, a, t)
+    return a, b, (s - t * (d - b) - _sum(ys, sums, a, b)) / (b - a)
 
 
 def _add_masked(x: np.ndarray, mask: np.ndarray, c: float) -> None:
@@ -302,7 +295,7 @@ def _add_masked(x: np.ndarray, mask: np.ndarray, c: float) -> None:
 
 
 def _assemble(
-    y: np.ndarray, ys: np.ndarray, p: Partition, s: float, t: float, edges
+    y: np.ndarray, ys: np.ndarray, p: Partition, gamma: float, s: float, t: float, edges
 ) -> ProjectionResult:
     # The kink tests read only ys[k], so a and b each start a group of equal
     # values (or equal D): the blocks are exact comparisons against them, and
@@ -316,7 +309,6 @@ def _assemble(
     at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
     if b > a:
-        gamma = gamma_for_partition(ys, p, s, t)
         # x = y + gamma, then one clip to [0, t] (one-sided when a block is
         # empty).  The shift gets +0.0 first, so x holds no -0.0.  y + gamma
         # rounds monotonically in y, so when the four edge values land on
@@ -345,7 +337,6 @@ def _assemble(
             _add_masked(x, ~(at_zero | at_cap), delta)
             gamma += delta
     else:
-        gamma = _degenerate_gamma(ys, a, t)
         x = at_cap * t
     return ProjectionResult(x=x, gamma=float(gamma), partition=p, at_zero=at_zero, at_cap=at_cap)
 
@@ -363,18 +354,19 @@ def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
     # Where a sum of y passes DBL_MAX it reads inf or NaN, not a warning: the
     # search then bisects, and the sign tests refuse a split it spoiled.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = Partition(*_kink_search(ys, s, t))
+        a, b, gamma = _kink_search(ys, s, t)
+        p = Partition(a, b)
         if p.a == p.b:
             # t*(D - a) reads no y, so its miss of s is judged at the scale of
             # s and t: at |y|'s, [0, 1] would pass for y = [0.1, 1e17], s = 0.5
             eps = 1e-9 * max(t, s)
             ok = boundary_case_holds(ys, p.a, s, eps, t)
-            res = _assemble(y, ys, p, s, t, None)
+            res = _assemble(y, ys, p, gamma, s, t, None)
         else:
             # 1e-9 * max(t, max|y|), with max|y| read off the sorted extremes
             eps = 1e-9 * max(t, abs(ys.item(0)), abs(ys.item(-1)))
             edges = _edge_values(ys, p)  # read before x overwrites ys
-            res = _assemble(y, ys, p, s, t, edges)
+            res = _assemble(y, ys, p, gamma, s, t, edges)
             ok = _signs_hold(edges, res.gamma, eps, t)
     if not ok:
         raise InconsistentCandidateError(

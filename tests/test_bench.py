@@ -37,6 +37,8 @@ class TestBenchPlan:
         with pytest.raises(InvalidInputError):
             BenchPlan(sizes=(10,), repetitions=0)
         with pytest.raises(InvalidInputError):
+            BenchPlan(sizes=(10,), methods=())
+        with pytest.raises(InvalidInputError):
             BenchPlan(sizes=(10,), methods=("simplex-annealing",))
         with pytest.raises(InvalidInputError):
             BenchPlan(sizes=(10,), base_seed=-1)

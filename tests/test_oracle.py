@@ -10,10 +10,12 @@ from cappedproj import (
     CapacityError,
     InfeasibleError,
     InvalidInputError,
+    ProjectionInput,
+    certify,
     enumerate_oracle,
     random_instance,
 )
-from cappedproj.oracle import _enumerate_labeled, default_eps
+from cappedproj.oracle import default_eps
 
 
 def _random_feasible(rng, d, s, parts=5):
@@ -77,18 +79,15 @@ class TestEnumerateOracle:
                 assert fx <= np.sum((z - y) ** 2) + 1e-9
 
     def test_labeling_margins_hold(self):
-        # pinned-at-zero coordinates need y + gamma <= 0, pinned-at-one need
-        # y + gamma >= 1, interior values must land inside the box
+        # the full first-order system, checked by the certificate's own code;
+        # 48 of these 100 answers are all-pinned
         rng = np.random.default_rng(2)
         for _ in range(100):
             d = int(rng.integers(1, 8))
             y = rng.normal(size=d)
             s = float(rng.integers(0, d + 1))
-            x, labels, gamma = _enumerate_labeled(y, s, 1e-9)
-            assert np.all(y[labels == 0] + gamma <= 1e-9)
-            assert np.all(y[labels == 2] + gamma >= 1.0 - 1e-9)
-            inner = x[labels == 1]
-            assert np.all(inner >= -1e-9) and np.all(inner <= 1.0 + 1e-9)
+            _, report = certify(ProjectionInput(y, s), enumerate_oracle(y, s))
+            assert report.passed, (y, s, report)
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):

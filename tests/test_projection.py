@@ -3,6 +3,7 @@
 import bisect
 import importlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,7 @@ from cappedproj import (
     sort_with_permutation,
 )
 from cappedproj import projection
-from cappedproj.projection import (
-    _edge_values,
-    _signs_hold,
-    boundary_case_holds,
-    gamma_for_partition,
-)
+from cappedproj.projection import _edge_values, _kink_search, _signs_hold, boundary_case_holds
 
 
 class TestProjectionInput:
@@ -115,27 +111,25 @@ class TestSortWithPermutation:
 
 
 class TestGammaForPartition:
+    # the kink search returns each split with the shift that solves its sum
     def test_three_point_shift(self):
         ys = np.sort(np.array([-0.2, 0.3, 1.5]))
-        g = gamma_for_partition(ys, Partition(0, 2), 2.0)
-        assert abs(g - 0.45) < 1e-15
+        assert _kink_search(ys, 2.0, 1.0) == (0, 2, 0.45)
 
     def test_all_interior_is_mean_shift(self):
         y = np.array([0.3, -0.1, 0.4, 0.2])
-        ys = np.sort(y)
-        g = gamma_for_partition(ys, Partition(0, 4), 1.0)
-        npt.assert_allclose(g, (1.0 - y.sum()) / 4.0, atol=1e-15)
+        a, b, g = _kink_search(np.sort(y), 2.0, 1.0)
+        assert (a, b) == (0, 4)
+        npt.assert_allclose(g, (2.0 - y.sum()) / 4.0, atol=1e-15)
 
     def test_single_interior_coordinate(self):
         ys = np.sort(np.array([-2.0, 0.5, 3.0]))
-        g = gamma_for_partition(ys, Partition(1, 2), 1.5)
-        assert g == 0.0
+        assert _kink_search(ys, 1.5, 1.0) == (1, 2, 0.0)
 
     def test_interior_summed_directly_next_to_an_outlier(self):
         # prefix[4] - prefix[1] rounds to 0 at 1e17; the interior sums to 0.6
         ys = np.sort(np.array([-1e17, 0.1, 0.2, 0.3]))
-        g = gamma_for_partition(ys, Partition(1, 4), 1.5)
-        assert abs(g - 0.3) < 1e-15
+        assert _kink_search(ys, 1.5, 1.0) == (1, 4, 0.3)
 
 
 def _signs(ys, p, gamma, eps):
@@ -155,7 +149,7 @@ class TestPartitionIsOptimal:
 
     def test_rejects_wrong_split(self):
         ys = np.sort(np.array([-2.0, 0.5, 3.0]))
-        g = gamma_for_partition(ys, Partition(0, 2), 1.5)
+        g = (1.5 - 1.0 - ys[:2].sum()) / 2  # the shift that solves the sum on (0, 2)
         assert not _signs(ys, Partition(0, 2), g, 1e-9)
 
     def test_virtual_neighbors_are_skipped(self):
@@ -340,8 +334,9 @@ def test_matches_oracle_on_ties_and_wide_values(inst):
 
 
 def test_wrong_split_raises(monkeypatch):
-    # (0, 3) puts -2 in the interior although the projection pins it at 0
-    monkeypatch.setattr(projection, "_kink_search", lambda ys, s, t: (0, 3))
+    # (0, 3), with the shift 0 that solves its sum, puts -2 in the interior
+    # although the projection pins it at 0
+    monkeypatch.setattr(projection, "_kink_search", lambda ys, s, t: (0, 3, 0.0))
     with pytest.raises(InconsistentCandidateError):
         project_capped_simplex(ProjectionInput([-2.0, 0.5, 3.0], 1.5))
 
@@ -420,7 +415,7 @@ def test_guided_search_matches_two_bisections_on_adversarial_inputs(f_calls):
         s = t * (float(rng.integers(d + 1)) if rng.random() < 0.5 else rng.uniform(0.0, d))
         ys = np.sort(y)
         f_calls[0] = 0
-        split = projection._kink_search(ys, s, t)
+        split = projection._kink_search(ys, s, t)[:2]
         assert split == _two_bisections(ys, s, t), (d, s, t)
         bisections = 2 * math.ceil(math.log2(d + 1))
         assert f_calls[0] <= bisections + 2 * projection._GUIDED, (d, s, t, f_calls[0])
@@ -441,11 +436,33 @@ def _large_adversarial_y(rng, kind, d):
     return y
 
 
+def _gamma_k(k):
+    # Higham's gamma_k = k*u / (1 - k*u), u the unit roundoff
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _assert_shift_solves_the_sum(ys, s, t, a, b, gamma):
+    # The numerator s - t*(D - b) - sum(ys[a:b]) adds n + 2 terms, n = b - a,
+    # which any order of addition gets within gamma_{n+1} * M, M the sum of
+    # their magnitudes (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., eq. 4.4); gamma_{n+2} also covers the second-order
+    # terms.  Each of the two divisions by n, the solver's and that of the
+    # exact numerator rounded once by fsum, adds a rounding of the quotient,
+    # within gamma_3 * |gamma| in all.
+    n, cap = b - a, t * (ys.size - b)
+    exact = math.fsum(np.concatenate(([s, -cap], -ys[a:b]))) / n
+    m = abs(s) + cap + float(np.abs(ys[a:b]).sum())
+    bound = _gamma_k(n + 2) * m / n + _gamma_k(3) * abs(exact)
+    assert abs(gamma - exact) <= bound, (a, b, gamma, exact, bound)
+
+
 @pytest.mark.parametrize("d", [2**14 + 1, 3 * 2**14 + 5, 100_000])
 def test_block_sums_keep_the_split_of_two_bisections(f_calls, d):
     # past D = 2^14, f adds the sums of whole blocks of 2^14 sorted values
     # to the two fringes of its interior; the split is still the one that
-    # two bisections find with f summed from its definition
+    # two bisections find with f summed from its definition, and its shift
+    # solves the sum to within the rounding error of any order of addition
     rng = np.random.default_rng(d)
     bisections = 2 * math.ceil(math.log2(d + 1))
     for kind in ("ties", "cauchy", "outlier"):
@@ -455,8 +472,13 @@ def test_block_sums_keep_the_split_of_two_bisections(f_calls, d):
             s = t * (float(rng.integers(d + 1)) if rng.random() < 0.5 else rng.uniform(0.0, d))
             ys = np.sort(y)
             f_calls[0] = 0
-            assert projection._kink_search(ys, s, t) == _two_bisections(ys, s, t), (kind, s, t)
+            a, b, gamma = projection._kink_search(ys, s, t)
+            assert (a, b) == _two_bisections(ys, s, t), (kind, s, t)
             assert f_calls[0] <= bisections + 2 * projection._GUIDED, (kind, s, t, f_calls[0])
+            if a < b:
+                _assert_shift_solves_the_sum(ys, s, t, a, b, gamma)
+            else:
+                assert gamma == projection._degenerate_gamma(ys, a, t)
 
 
 def test_block_sums_add_up_every_slice():
@@ -481,11 +503,12 @@ def test_f_where_both_kinks_of_a_coordinate_round_together():
 def _mask_product_assembly(y, s, t, p):
     # the reference x and gamma: y clipped to the interior's range, plus
     # gamma, times the free mask, plus t on the cap block, then one
-    # re-centering of the interior
+    # re-centering of the interior; gamma starts from the interior summed as
+    # the search sums it, so only the assembly is compared
     ys, d, a, b = np.sort(y), y.size, p.a, p.b
     at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
-    gamma = gamma_for_partition(ys, p, s, t)
+    gamma = (s - t * (d - b) - projection._sum(ys, projection._block_sums(ys), a, b)) / (b - a)
     free = ~(at_zero | at_cap)
     x = (np.clip(y, ys[a], ys[b - 1]) + gamma) * free + at_cap * t
     delta = (s - float(x.sum())) / (b - a)
@@ -747,3 +770,23 @@ def test_general_cap_matches_rescaled_oracle(inst):
     npt.assert_array_equal(res.x[res.at_cap], t)
     _assert_ties_kept(y, res.x)
     assert certify_result(inp, res)[1].passed
+
+
+def test_solve_peak_memory_stays_under_two_arrays():
+    # the sorted copy is the one array of D doubles a solve allocates: x is
+    # built in its buffer, and the masks and the re-centering take a few
+    # bytes per entry (1.47 * 8D here); a second array of D doubles would
+    # pass 2 * 8D.  Both blocks are present and the re-centering runs.
+    d = 1 << 18
+    y = np.random.default_rng(0).random(d) * 2.0 - 1.0
+    inp = ProjectionInput(y, 0.3 * d)
+    res = project_capped_box(inp)
+    assert 0 < res.partition.a < res.partition.b < d
+    assert res.gamma != _kink_search(np.sort(y), inp.s, inp.t)[2]  # delta != 0
+    tracemalloc.start()
+    try:
+        project_capped_box(inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * d, peak
