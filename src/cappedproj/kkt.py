@@ -11,20 +11,24 @@ together with primal feasibility.  Given x and gamma the multipliers are
 forced: alpha_i = -(y_i + gamma) on coordinates pinned at 0 and
 beta_i = y_i + gamma - t on coordinates pinned at t, zero elsewhere.
 
-A certificate is one pass over y, x, gamma and the two block masks, in
-blocks of 2^14 entries.  Per block it forces the multipliers into small
-buffers, counts the entries where the claimed blocks misfit x and keeps the
-running extremes of every residual; only ``x.min()``, ``x.max()`` and
-``x.sum()`` read the whole of x.  A block with no coordinate costs the pass
-nothing: its multiplier is +-0 on every entry and moves no residual, so its
-forcing, its misfit count and its residual terms are skipped.  That skip
-applies while x and gamma are finite and ``y + gamma - t`` cannot overflow;
-otherwise every term runs, and a NaN or an inf shows in the report as in the
-whole-array formulas.  The multipliers are always the forced
-ones: ``certify_result`` forces them on the blocks the solver reports,
-``certify`` on blocks it reads off the candidate.  No array of the size of y
-is built: a ``KktCertificate`` keeps what forces the multipliers and builds
-``alpha`` and ``beta`` when they are first read.
+Each bound side is a mask, a bound (0 or t) and a sign (+1 or -1), and
+``g = (y + gamma - bound) * mask`` is -alpha on the zero side and beta on
+the cap side.  Stationarity adds g, complementary slackness is
+``|g * (x - bound)|``, and ``sign * g`` is minus the multiplier, so the
+dual residual is its largest value.
+
+A certificate is one pass over y, x, gamma and the two masks, in blocks of
+2^14 entries.  Per block each side forms g in a small buffer, counts the
+entries where its claimed block misfits x and keeps the running extremes
+of its residual terms; only ``x.min()``, ``x.max()`` and ``x.sum()`` read
+the whole of x.  A side with no coordinate is skipped: its g is +-0 on
+every entry and moves no residual.  That skip applies while x and gamma
+are finite and ``y + gamma - t`` cannot overflow; otherwise both sides run,
+and a NaN or an inf shows in the report as in the whole-array formulas.
+``certify_result`` forces the multipliers on the blocks the solver reports,
+``certify`` on blocks it reads off the candidate.  No array of the size of
+y is built: a ``KktCertificate`` keeps what forces the multipliers and
+builds ``alpha`` and ``beta`` when they are first read.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -51,21 +56,6 @@ def _slack(cap) -> float:
     return DEFAULT_CLASSIFY_TOL * min(1.0, cap)
 
 
-def _force(y, gamma, zero, one, cap, alpha, beta, alpha_on=True, beta_on=True) -> None:
-    # alpha = -(y + gamma) on the zero block and beta = y + gamma - cap on the
-    # cap block, 0 elsewhere, written into alpha and beta.  Products with the
-    # masks rather than np.where, whose per-entry branch is slow on masks in
-    # input order.  Without ``alpha_on`` alpha is not written; without
-    # ``beta_on`` beta holds y + gamma.
-    np.add(y, gamma, out=beta)
-    if alpha_on:
-        np.negative(beta, out=alpha)
-        alpha *= zero
-    if beta_on:
-        beta -= cap
-        beta *= one
-
-
 class KktCertificate:
     """Multipliers for the bounds (alpha, beta) and the sum constraint (gamma).
 
@@ -82,9 +72,8 @@ class KktCertificate:
     @cached_property
     def _multipliers(self):
         y, zero, one, cap = self._forced_by
-        alpha, beta = np.empty_like(y), np.empty_like(y)
-        _force(y, self.gamma, zero, one, cap, alpha, beta)
-        return alpha, beta
+        shifted = y + self.gamma
+        return -shifted * zero, (shifted - cap) * one
 
     @property
     def alpha(self) -> np.ndarray:
@@ -160,35 +149,10 @@ def _candidate(inp, x):
     return x
 
 
-def _count_misfits(x, zero, one, cap, work, flag, alpha_on, beta_on) -> tuple[int, int, int]:
-    # one count per entry of _MISFITS: entries both blocks claim, and entries
-    # more than the classification slack from the bound they are claimed at;
-    # a block left out (alpha_on or beta_on False) is empty and counts 0
-    ctol = _slack(cap)
-    both = off_zero = off_cap = 0
-    if alpha_on and beta_on:
-        both = np.count_nonzero(np.logical_and(zero, one, out=flag))
-    if alpha_on:
-        np.abs(x, out=work)
-        np.greater(work, ctol, out=flag)
-        off_zero = np.count_nonzero(np.logical_and(flag, zero, out=flag))
-    if beta_on:
-        np.subtract(x, cap, out=work)
-        np.abs(work, out=work)
-        np.greater(work, ctol, out=flag)
-        off_cap = np.count_nonzero(np.logical_and(flag, one, out=flag))
-    return both, off_zero, off_cap
-
-
-# max and min of two scalars that return NaN when either is NaN, which the
-# builtins drop when it comes second; a ufunc call on two scalars costs
-# several times as much
+# the max of two scalars, NaN when either is NaN, which the builtin drops
+# when it comes second; a ufunc call on two scalars costs several times as much
 def _max(a, b):
     return a if a >= b or a != a else b
-
-
-def _min(a, b):
-    return a if a <= b or a != a else b
 
 
 # the largest double: y + gamma, and y + gamma - t, are finite for every
@@ -199,112 +163,103 @@ _BIG = float(np.finfo(np.float64).max)
 def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     """The residual report of (x, gamma) on inp from one pass over blocks.
 
-    The multipliers are forced from the masks ``zero`` and ``one``, of
-    ``sizes`` coordinates each, into per-block buffers.  With ``check``, the
-    masks are checked against x in the same pass, and a misfit raises
-    ``InconsistentCandidateError``.  Reductions call the ufuncs directly:
-    ``a.max()`` costs twice as much on short blocks.
+    The sides are ``(zero, 0, +1)`` and ``(one, t, -1)``, of ``sizes``
+    coordinates each.  Per block each side adds its terms in the order of
+    the whole-array expressions in the ``KktReport`` docstring, so every
+    field is bitwise what they give: ``a + g`` is ``a - alpha`` in IEEE
+    arithmetic, and ``|g * (x - bound)|`` is ``|alpha * x|`` or
+    ``|beta * (t - x)|``.  With ``check``, the masks are checked against x
+    in the same pass, and a misfit raises ``InconsistentCandidateError``.
+    Reductions call the ufuncs directly: ``a.max()`` costs twice as much on
+    short blocks.
 
-    An empty block forces its multiplier to +-0 on every entry, which moves
-    no residual, so its terms are skipped.  That holds while nothing it
-    meets can overflow: x finite, and ``y + gamma`` and ``y + gamma - t``
-    finite for every finite y, which also keeps ``t - x`` finite.
-    Otherwise every term runs, so a NaN or an inf reaches the report as in
-    the whole-array formulas.
+    A side with no coordinate has g = +-0 on every entry, which moves no
+    residual, so it is skipped.  That holds while nothing it meets can
+    overflow: x finite, and ``y + gamma`` and ``y + gamma - t`` finite for
+    every finite y, which also keeps ``x - t`` finite.  Otherwise both sides
+    run, so a NaN or an inf reaches the report as in the whole-array
+    formulas.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
     y, t = inp.y, inp.t
     d = y.size
     x_min, x_max = np.minimum.reduce(x), np.maximum.reduce(x)
-    exact = (
-        math.isfinite(gamma + _BIG)
-        and math.isfinite(gamma - _BIG - t)
-        and math.isfinite(x_min)
-        and math.isfinite(x_max)
-    )
-    alpha_on, beta_on = sizes[0] > 0 or not exact, sizes[1] > 0 or not exact
+    exact = all(map(math.isfinite, (gamma + _BIG, gamma - _BIG - t, x_min, x_max)))
+    # each side as (index in _MISFITS, mask, bound, sign)
+    sides = ((1, zero, 0.0, 1.0), (2, one, t, -1.0))
+    if exact:
+        sides = tuple(compress(sides, sizes))
     # blocks of _BLOCK entries: a handful of buffers this size stay in cache
-    # and cost no page faults
-    m = n = min(d, _BLOCK)
-    ab, bb, rs, rc, w = np.empty((5, n))
-    f = np.empty(n, dtype=bool)
+    # and cost no page faults; each side has two, for g and its slackness
+    n = min(d, _BLOCK)
+    work, flags = np.empty((2 + 2 * len(sides), n)), np.empty(n, dtype=bool)
     # coordinate i passes when its residual is within tol * max(c, |y_i|);
     # a block whose largest residual is within tol * c needs no finer look
     c = max(t, abs(gamma))
     fast = tol * c
-    stat = cs = 0.0
-    alpha_min = beta_min = np.inf
+    ctol = _slack(t)
+    stat = cs = dual = 0.0
     misfits = np.zeros(len(_MISFITS), dtype=np.intp)
     within = True
+    m = 0
     for i in range(0, d, _BLOCK):
-        if d == n:  # one block: the arrays themselves, no views to make
-            xb, yb, zb, cb = x, y, zero, one
-        else:
-            j = min(i + _BLOCK, d)
-            xb, yb, zb, cb = x[i:j], y[i:j], zero[i:j], one[i:j]
-            if j - i < n:  # the last block, partial
-                m = j - i
-                ab, bb, rs, rc, w, f = ab[:m], bb[:m], rs[:m], rc[:m], w[:m], f[:m]
-        if alpha_on or beta_on:
-            _force(yb, gamma, zb, cb, t, ab, bb, alpha_on, beta_on)
-        if check:
-            misfits += _count_misfits(xb, zb, cb, t, w, f, alpha_on, beta_on)
-        # the order of the whole-array expressions in the KktReport docstring,
-        # so every field is bitwise what they give
+        j = min(i + _BLOCK, d)
+        if j - i != m:  # the first block, and a partial last one
+            m = j - i
+            (rs, w, *buffers), f = work[:, :m], flags[:m]
+            pairs = list(zip(sides, buffers[::2], buffers[1::2]))
+        xb, yb = x[i:j], y[i:j]
+        if check and len(sides) == 2:
+            misfits[0] += np.count_nonzero(np.logical_and(zero[i:j], one[i:j], out=f))
         np.subtract(xb, yb, out=rs)
-        if alpha_on:
-            rs -= ab
-        if beta_on:
-            rs += bb
+        near = True  # every side's terms within the fast bound
+        for (k, mask, bound, sign), g, r in pairs:
+            mb = mask[i:j]
+            np.add(yb, gamma, out=g)
+            if bound:
+                g -= bound
+            g *= mb  # a product: np.where's per-entry branch is slow on masks in input order
+            rs += g
+            off = np.subtract(xb, bound, out=r) if bound else xb
+            if check:
+                np.abs(off, out=w)
+                np.greater(w, ctol, out=f)
+                misfits[k] += np.count_nonzero(np.logical_and(f, mb, out=f))
+            np.multiply(g, off, out=r)
+            np.abs(r, out=r)
+            top_c = np.maximum.reduce(r)
+            # sign * g is minus the multiplier; its largest value is the dual residual
+            top_d = np.maximum.reduce(g) if sign > 0 else -np.minimum.reduce(g)
+            cs, dual = _max(cs, top_c), _max(dual, top_d)
+            near = near and top_c <= fast * t and top_d <= fast
         rs -= gamma
         np.abs(rs, out=rs)
-        if alpha_on:
-            np.multiply(ab, xb, out=rc)
-            np.abs(rc, out=rc)
-        if beta_on:
-            cw = w if alpha_on else rc
-            np.subtract(t, xb, out=cw)
-            cw *= bb
-            np.abs(cw, out=cw)
-            if alpha_on:
-                np.maximum(rc, w, out=rc)
         top_s = np.maximum.reduce(rs)
-        top_c = np.maximum.reduce(rc) if alpha_on or beta_on else 0.0
-        a_min = np.minimum.reduce(ab) if alpha_on else 0.0
-        b_min = np.minimum.reduce(bb) if beta_on else 0.0
-        stat, cs = _max(stat, top_s), _max(cs, top_c)
-        alpha_min, beta_min = _min(alpha_min, a_min), _min(beta_min, b_min)
-        if within and not (
-            top_s <= fast and top_c <= fast * t and -a_min <= fast and -b_min <= fast
-        ):
+        stat = _max(stat, top_s)
+        if within and not (near and top_s <= fast):
             # w = tol * max(t, |y_i|, |gamma|), the bound of coordinate i; the
             # comparisons are written so that a NaN fails them
             np.abs(yb, out=w)
             np.maximum(w, c, out=w)
             w *= tol
             within = np.count_nonzero(np.less_equal(rs, w, out=f)) == m
-            if alpha_on or beta_on:
-                np.multiply(w, t, out=rs)
-                within = within and np.count_nonzero(np.less_equal(rc, rs, out=f)) == m
-            np.negative(w, out=w)
-            if alpha_on:
-                within = within and np.count_nonzero(np.greater_equal(ab, w, out=f)) == m
-            if beta_on:
-                within = within and np.count_nonzero(np.greater_equal(bb, w, out=f)) == m
+            np.multiply(w, t, out=rs)
+            for (_, _, _, sign), g, r in pairs:
+                g *= sign
+                within = within and np.count_nonzero(np.less_equal(r, rs, out=f)) == m
+                within = within and np.count_nonzero(np.less_equal(g, w, out=f)) == m
     if check:
         for count, message in zip(misfits, _MISFITS):
             if count:
                 raise InconsistentCandidateError(message)
         # the blocks sit within the slack of 0 and cap by now, so only an
         # interior entry can leave [-slack, cap + slack]
-        ctol = _slack(t)
         if x_min < -ctol or x_max > t + ctol:
             raise InconsistentCandidateError("candidate leaves [0, cap] in its claimed interior")
     lower = float(_max(0.0, -x_min))
     upper = float(_max(0.0, x_max - t))
     ssum = abs(float(np.add.reduce(x)) - inp.s)
-    dual = float(_max(_max(0.0, -alpha_min), -beta_min))
     passed = (
         within and lower <= tol * t and upper <= tol * t and ssum <= tol * max(t, inp.s)
     )
@@ -313,7 +268,7 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
         primal_lower=lower,
         primal_upper=upper,
         sum_residual=ssum,
-        dual_residual=dual,
+        dual_residual=float(dual),
         cs_residual=float(cs),
         passed=bool(passed),
     )

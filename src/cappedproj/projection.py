@@ -287,11 +287,15 @@ def _kink_search(ys: np.ndarray, s: float, t: float):
     return a, b, (s - t * (d - b) - _sum(ys, sums, a, b)) / (b - a)
 
 
-def _add_masked(x: np.ndarray, mask: np.ndarray, c: float) -> None:
-    # x += c * mask in blocks of _BLOCK entries: a temporary as large as x
-    # costs more in page faults than the whole product
+def _add_free(x: np.ndarray, at_zero: np.ndarray, at_cap: np.ndarray, c: float) -> None:
+    # x += c on the coordinates in neither mask, _BLOCK entries at a time:
+    # the free mask and its product are formed per block, because as whole
+    # arrays they would cost more in page faults than the sum itself
+    free = np.empty(min(x.size, _BLOCK), dtype=bool)
     for i in range(0, x.size, _BLOCK):
-        x[i : i + _BLOCK] += mask[i : i + _BLOCK] * c
+        j = min(i + _BLOCK, x.size)
+        f = np.logical_or(at_zero[i:j], at_cap[i:j], out=free[: j - i])
+        x[i:j] += np.logical_not(f, out=f) * c
 
 
 def _assemble(
@@ -331,10 +335,12 @@ def _assemble(
         elif b < d:
             np.minimum(x, t, out=x)
         # One re-centering pass: keeps the sum residual at rounding level
-        # after the interior values are rounded at large D.
+        # after the interior values are rounded at large D.  The interior is
+        # read off the two masks a block at a time, so no third mask of D
+        # bytes is built.
         delta = (s - float(x.sum())) / (b - a)
         if delta != 0.0:
-            _add_masked(x, ~(at_zero | at_cap), delta)
+            _add_free(x, at_zero, at_cap, delta)
             gamma += delta
     else:
         x = at_cap * t

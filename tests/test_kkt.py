@@ -615,6 +615,27 @@ class TestBlockEdges:
         assert report.stationarity_residual >= 0.1 and not report.passed
         assert cert.alpha.tobytes() == alpha.tobytes()
 
+    def test_a_fine_look_in_an_early_block_leaves_a_later_violation_standing(self):
+        # y[7] = 1e10 sits at the cap in block 0, where stationarity rounds
+        # at its scale, past 1e-8 * max(t, |gamma|): that block takes the
+        # per-coordinate check, and passes it.  Mass moved between two
+        # interior entries of the partial last block must still fail there.
+        y = np.random.default_rng(78).random(EDGE_D) - 0.5
+        y[7] = 1e10
+        inp = ProjectionInput(y, 0.5 * EDGE_D, 1.0)
+        res = project_capped_box(inp)
+        assert res.at_cap[7]
+        report = certify_result(inp, res)[1]
+        assert report.passed and certify(inp, res.x)[1].passed
+        assert report.stationarity_residual > 1e-8 * max(inp.t, abs(res.gamma))
+        interior = np.flatnonzero(~(res.at_zero | res.at_cap))
+        i, j = interior[interior >= 3 * (1 << 14)][:2]
+        x = res.x.copy()
+        x[i] += 1e-6
+        x[j] -= 1e-6
+        assert not certify_result(inp, dataclasses.replace(res, x=x))[1].passed
+        assert not certify(inp, x)[1].passed
+
     @pytest.mark.parametrize(
         "pattern", ["no zero block", "no cap block", "neither block", "no interior"]
     )
