@@ -186,8 +186,8 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     d = y.size
     x_min, x_max = np.minimum.reduce(x), np.maximum.reduce(x)
     exact = all(map(math.isfinite, (gamma + _BIG, gamma - _BIG - t, x_min, x_max)))
-    # each side as (index in _MISFITS, mask, bound, sign)
-    sides = ((1, zero, 0.0, 1.0), (2, one, t, -1.0))
+    # each side as (index in _MISFITS, which mask, bound, sign)
+    sides = ((1, 0, 0.0, 1.0), (2, 1, t, -1.0))
     if exact:
         sides = tuple(compress(sides, sizes))
     # blocks of _BLOCK entries: a handful of buffers this size stay in cache
@@ -209,13 +209,15 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
             m = j - i
             (rs, w, *buffers), f = work[:, :m], flags[:m]
             pairs = list(zip(sides, buffers[::2], buffers[1::2]))
-        xb, yb = x[i:j], y[i:j]
+        # the block's views, formed once for both sides; one block is the
+        # whole of each array
+        xb, yb, *masks = (x, y, zero, one) if m == d else (v[i:j] for v in (x, y, zero, one))
         if check and len(sides) == 2:
-            misfits[0] += np.count_nonzero(np.logical_and(zero[i:j], one[i:j], out=f))
+            misfits[0] += np.count_nonzero(np.logical_and(*masks, out=f))
         np.subtract(xb, yb, out=rs)
         near = True  # every side's terms within the fast bound
-        for (k, mask, bound, sign), g, r in pairs:
-            mb = mask[i:j]
+        for (k, side, bound, sign), g, r in pairs:
+            mb = masks[side]
             np.add(yb, gamma, out=g)
             if bound:
                 g -= bound

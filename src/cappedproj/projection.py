@@ -3,14 +3,22 @@
 The feasible set is ``{x : sum(x) = s, 0 <= x <= t}``; the capped simplex of
 the paper is the unit cap ``t = 1``.  Sorted ascending, the unique minimizer
 of ``0.5*||x - y||^2`` over this set consists of ``a`` zeros, then interior
-values ``y_k + gamma``, then ``D - b`` entries at the cap.  After one sort of
-the values the solver finds ``(a, b)`` among the kinks of the piecewise
-linear sum ``f(gamma) = sum(clip(y + gamma, 0, t))``, probing where a Newton
-step on f predicts each edge: about 5 evaluations of f per solve, at most
-``2*ceil(log2(D+1)) + 12``.  Each sums the interior pairwise, in
-``O(log D + interior)`` up to D = 2^14; above that, from the sums of the
-whole blocks of 2^14 sorted values, taken once per solve, plus the two
-fringes, in ``O(log D + 2^14 + D/2^14)``.  The search returns the shift
+values ``y_k + gamma``, then ``D - b`` entries at the cap.  The solver
+finds ``(a, b)`` among the kinks of the piecewise linear sum
+``f(gamma) = sum(clip(y + gamma, 0, t))``, read in sorted order, probing
+where a Newton step on f predicts each edge: about 5 evaluations of f per
+solve, at most ``2*ceil(log2(D+1)) + 12``.  Up to D = 2^14 the values are
+sorted once.  Above that a sample of about 4,096 of them predicts the
+edges, and only a window around each (with the few other values the
+probes rank) is put in sorted place, by in-place partitions, and sorted
+(``_windows``).  The search reads only those windows; when its answer is
+not in them it raises ``_Miss``, the rest of the values are sorted and the
+search runs again, so the whole sort is the widest window.  Each f sums
+the interior pairwise, in ``O(log D + interior)`` up to D = 2^14; above
+that, from the sums of the whole blocks of 2^14 values of its buffer,
+taken once per search, plus the two fringes, in
+``O(log D + 2^14 + D/2^14)``: a sum needs the values of its ranks, not
+their order.  The search returns the shift
 ``gamma`` with the split, solved from the sum constraint with the interior
 summed as f sums it, and the solver checks the split with the optimality
 sign tests.  They say the bound multipliers that stationarity forces on the
@@ -200,7 +208,25 @@ def _sum(ys: np.ndarray, sums, lo: int, hi: int) -> float:
     return float(np.add.reduce(ys[lo:hi]))
 
 
-def _f(ys: np.ndarray, sums, t: float, gamma: float):
+class _Miss(Exception):
+    """A probe or a block edge of the kink search fell outside the sorted windows."""
+
+
+def _rank(ys: np.ndarray, spans, v: float, side: str) -> int:
+    # ys.searchsorted(v, side), read from the first of the sorted spans
+    # (lo, hi) of ys that decides it.  Every value before a span is <=
+    # ys[lo] and every value after it >= ys[hi - 1], so a count that lands
+    # strictly inside a span, or at an end of ys, is exact; one on a span's
+    # end inside ys could count values beyond it.  No span deciding it
+    # raises _Miss.
+    for lo, hi in spans:
+        k = lo + int(ys[lo:hi].searchsorted(v, side))
+        if (k > lo or lo == 0) and (k < hi or hi == ys.size):
+            return k
+    raise _Miss
+
+
+def _f(ys: np.ndarray, sums, t: float, gamma: float, spans=None):
     """``sum(clip(ys + gamma, 0, t))`` and its slope there.
 
     ``sums`` is ``_block_sums(ys)``.  The interior is summed by ``_sum``: in
@@ -209,13 +235,19 @@ def _f(ys: np.ndarray, sums, t: float, gamma: float):
     sums.  The slope is the number of coordinates strictly between 0 and t.
     A coordinate with ``y + gamma == 0`` counts at zero even where
     ``t - gamma`` rounds to ``-gamma``, so the slope is never negative.
+    The interior's ends are ranked in ys, or, when ys is sorted only in
+    ``spans``, in those (``_rank``).
     """
-    lo = int(ys.searchsorted(-gamma, side="right"))
-    hi = max(lo, int(ys.searchsorted(t - gamma, side="left")))
+    if spans is None:
+        lo = int(ys.searchsorted(-gamma, side="right"))
+        hi = max(lo, int(ys.searchsorted(t - gamma, side="left")))
+    else:
+        lo = _rank(ys, spans, -gamma, "right")
+        hi = max(lo, _rank(ys, spans, t - gamma, "left"))
     return t * (ys.size - hi) + _sum(ys, sums, lo, hi) + (hi - lo) * gamma, hi - lo
 
 
-def _block_edge(ys, sums, s, t, cap, lo, guess):
+def _block_edge(ys, sums, s, t, cap, lo, guess, wins):
     """First k >= lo whose edge test holds (D if none), and the last shift predicted.
 
     The zero edge (``cap`` False) tests ``f(-y_k) < s``, the cap edge
@@ -225,9 +257,16 @@ def _block_edge(ys, sums, s, t, cap, lo, guess):
     Newton step, ``gamma + (s - f)/slope``, which lands on the solution once
     no kink lies between them.  A probe with no usable guess (NaN on a flat
     piece of f, or a shift that overflowed) bisects, and so does every probe
-    after the guided ones.
+    after the guided ones.  When ys is sorted only in parts, ``wins`` is
+    ``(spans, windows)``: f ranks in the sorted spans, and the bracket is
+    the part of the edge's sorted window ``windows[cap]`` from lo on.  An
+    answer on an end of that window, other than lo or D, raises ``_Miss``:
+    the test one kink beyond it was never read.
     """
-    hi = ys.size
+    d = ys.size
+    spans, (left, right) = (None, (0, d)) if wins is None else (wins[0], wins[1][cap])
+    window = ys[left:right]
+    lo0, lo, hi = lo, max(lo, left), right
     shift, side = (t, "left") if cap else (0.0, "right")
     guided = _GUIDED
     while lo < hi:
@@ -235,21 +274,25 @@ def _block_edge(ys, sums, s, t, cap, lo, guess):
         if guided and hi - lo > 2:  # two bisection probes close a smaller bracket
             guided -= 1
             if math.isfinite(guess):
-                g = int(ys.searchsorted(shift - guess, side))
-                if lo <= g <= hi:  # a guess outside the bracket is known wrong
+                g = left + int(window.searchsorted(shift - guess, side))
+                # a guess outside the bracket is known wrong; one past a
+                # window's end inside ys would probe a rank beyond the spans
+                if lo <= g <= hi and (left < g < right or right - left == d):
                     k = min(g, hi - 1)
         gamma = t - ys.item(k) if cap else -ys.item(k)
-        v, n = _f(ys, sums, t, gamma)
+        v, n = _f(ys, sums, t, gamma, spans)
         if (v <= s) if cap else (v < s):
             hi = k
         else:
             lo = k + 1
         # on a flat piece of f the step is undefined
         guess = gamma + (s - v) / n if n else math.nan
+    if lo == left > lo0 or lo >= right < d:
+        raise _Miss
     return lo, guess
 
 
-def _kink_search(ys: np.ndarray, s: float, t: float):
+def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
     """Split (a, b) of the sorted coordinates, and its shift, for the sum target s and cap t.
 
     ``f(gamma) = sum(clip(y + gamma, 0, t))`` is nondecreasing and piecewise
@@ -274,17 +317,172 @@ def _kink_search(ys: np.ndarray, s: float, t: float):
     Returns ``(a, b, gamma)``.  With an interior, the sum constraint forces
     ``gamma = (s - t*(D - b) - sum(y_a..y_b)) / (b - a)``, the interior
     summed as f sums it.  An all-pinned split returns ``_degenerate_gamma``.
+
+    ``wins`` is ``(spans, windows)`` when ys is sorted only in the spans
+    ``(lo, hi)`` (``_windows``): each edge is searched in its window, and a
+    probe or an edge that leaves the spans raises ``_Miss``.  None is the
+    widest window, ys sorted throughout.  The sums need no order: the
+    positions between two spans hold the values of those ranks.
     """
     d = ys.size
     a = d - round(s / t)
     if boundary_case_holds(ys, a, s, 0.0, t):
         return a, a, _degenerate_gamma(ys, a, t)
     sums = _block_sums(ys)
-    a, guess = _block_edge(ys, sums, s, t, cap=False, lo=0, guess=(s - _sum(ys, sums, 0, d)) / d)
-    b, _ = _block_edge(ys, sums, s, t, cap=True, lo=a, guess=guess)
+    a, guess = _block_edge(ys, sums, s, t, False, 0, (s - _sum(ys, sums, 0, d)) / d, wins)
+    b, _ = _block_edge(ys, sums, s, t, True, a, guess, wins)
     if a == b:
         return a, a, _degenerate_gamma(ys, a, t)
     return a, b, (s - t * (d - b) - _sum(ys, sums, a, b)) / (b - a)
+
+
+# values in the sample that predicts the windows of a solve above D = 2^14
+_SAMPLE = 1 << 12
+
+# a window's margin, in standard errors of the sample: of its shift, and of
+# its count at each end of the window
+_Z = 3.0
+
+
+def _around(sample: np.ndarray, lo_v: float, hi_v: float):
+    # index range (i, j) of the sample's values in [lo_v, hi_v] and of the
+    # value next to them on each side, with its ties: the kinks next to a
+    # shift can lie across a gap in y
+    m = sample.size
+    i = int(sample.searchsorted(lo_v, "left"))
+    j = int(sample.searchsorted(hi_v, "right"))
+    if i:
+        i = int(sample.searchsorted(sample[i - 1], "left"))
+    if j < m:
+        j = int(sample.searchsorted(sample[j], "right"))
+    return i, j
+
+
+def _positions(m: int, d: int, i: int, j: int):
+    # positions in sorted y, of size d, of the values sample[i:j] of a sample
+    # of m, widened by _Z standard errors of the sample's count at each end
+    r = d / m
+    err = [r * (_Z * math.sqrt(c * (m - c) / m) + 1.0) for c in (i, j)]
+    return max(0, math.floor(r * i - err[0])), min(d, math.ceil(r * j + err[1]))
+
+
+def _cut(ys: np.ndarray, lo: int, hi: int, cuts) -> None:
+    # Reorders ys[lo:hi] in place so that, for each of the ascending cuts
+    # lo < c < hi, the values of rank below c come before position c and
+    # the rest from c on.  A cut more than 2 from both ends takes one
+    # single-kth partition of the range still open (numpy's partition with
+    # several kth costs more than a whole sort), the cut that leaves the
+    # least to partition after it first.  A cut within 2 of an end comes
+    # last, on the smallest range, and takes an argmin (or an argmax) and a
+    # swap per position.
+    inner = [k for k, c in enumerate(cuts) if c - lo > 2 and hi - c > 2]
+    if inner:
+        n = len(cuts)
+        k = min(inner, key=lambda k: (k > 0) * (cuts[k] - lo) + (k < n - 1) * (hi - cuts[k]))
+        ys[lo:hi].partition(cuts[k] - lo)
+        _cut(ys, lo, cuts[k], cuts[:k])
+        _cut(ys, cuts[k], hi, cuts[k + 1 :])
+        return
+    for c in cuts:
+        if c - lo <= 2:
+            for i in range(lo, c):
+                j = i + int(ys[i:hi].argmin())
+                ys[i], ys[j] = ys[j], ys[i]
+        else:
+            for i in range(hi - 1, c - 1, -1):
+                j = lo + int(ys[lo : i + 1].argmax())
+                ys[i], ys[j] = ys[j], ys[i]
+
+
+def _windows(ys: np.ndarray, y: np.ndarray, s: float, t: float):
+    """Sorts the parts of ``ys``, a copy of y, that the kink search reads; returns its ``wins``.
+
+    A strided sample of about ``_SAMPLE`` values of y, solved by the kink
+    search at ``s*m/D``, predicts the shift.  Its standard error is that of
+    the sample's sum over the slope of f, ``sqrt(m) * sd / n`` with ``sd``
+    the spread of ``clip(sample + shift, 0, t)`` and ``n`` the sample's
+    interior.  The minimum and the maximum go to the ends of ys.  Each
+    edge's window holds its kinks for a shift within ``_Z`` standard errors
+    (``_around``), at the positions the sample gives them widened by ``_Z``
+    standard errors of its counts (``_positions``); where every such shift
+    puts the edge at an end of y, the window is that extreme, with the value
+    next to it or its ties sorted too.  A probe at an edge's kink ``y_k``
+    also ranks ``y_k + t`` (zero edge) or ``y_k - t`` (cap edge), so the
+    positions of those values are sorted as well, and, when s is a multiple
+    of t, the two values the all-pinned pretest reads.  ``_cut`` puts every
+    span in place, and each is sorted.
+
+    The sample only places the windows: whether they hold the answer is
+    decided by the search, which raises ``_Miss`` when they do not.  A
+    sample with no interior, or a shift that is not finite, gives the
+    widest window: ys is sorted throughout, and None is returned.
+    """
+    d = y.size
+    sample = np.sort(y[:: d // _SAMPLE])
+    m = sample.size
+    a, b, g = _kink_search(sample, s * m / d, t)
+    # sd^2 = E[c^2] - E[c]^2 over c = clip(sample + g, 0, t), of which the
+    # m - b at the cap are t and the interior is z
+    z = sample[a:b] + g
+    top = t * (m - b)
+    var = (t * top + float(z @ z)) / m - ((top + float(z.sum())) / m) ** 2
+    e = _Z * math.sqrt(m * max(var, 0.0)) / (b - a) if b > a else math.inf
+    if not math.isfinite(g + e):
+        ys.sort()
+        return None
+    for k, extreme in ((0, ys.argmin), (d - 1, ys.argmax)):
+        j = extreme()
+        ys[k], ys[j] = ys[j], ys[k]
+    low, high = ys.item(0), ys.item(-1)
+    spans, windows = [(0, 1), (d - 1, d)], []
+    for cap, (lo_v, hi_v) in enumerate(((-(g + e), -(g - e)), (t - g - e, t - g + e))):
+        if hi_v < low:
+            windows.append((0, 1))
+            spans.append((0, 2) if sample[0] > low else _positions(m, d, *_around(sample, low, low)))
+            lo_v = hi_v = low
+        elif lo_v > high:
+            windows.append((d - 1, d))
+            spans.append((d - 2, d) if sample[-1] < high else _positions(m, d, *_around(sample, high, high)))
+            lo_v = hi_v = high
+        else:
+            i, j = _around(sample, lo_v, hi_v)
+            windows.append(_positions(m, d, i, j))
+            lo_v, hi_v = sample[i] if i else low, sample[j - 1] if j < m else high
+        shift = -t if cap else t
+        if lo_v + shift <= high and hi_v + shift >= low:
+            spans.append(_positions(m, d, *_around(sample, lo_v + shift, hi_v + shift)))
+    spans += windows
+    a = d - round(s / t)
+    if s == t * (d - a) and 0 < a < d:
+        spans.append((a - 1, a + 1))
+    merged = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    _cut(ys, 1, d - 1, [c for span in merged for c in span if 1 < c < d - 1])
+    for lo, hi in merged:
+        ys[lo:hi].sort()
+    return tuple(merged), tuple(windows)
+
+
+def _search(y: np.ndarray, s: float, t: float):
+    """The buffer the kink search ran on, and its ``(a, b, gamma)``.
+
+    Up to D = 2^14 the buffer is y sorted.  Above, it is a copy of y sorted
+    only in the windows ``_windows`` places; on a miss it is sorted the rest
+    of the way and searched again, so the full sort is the widest window.
+    """
+    if y.size <= _BLOCK:
+        ys = np.sort(y)
+        return ys, _kink_search(ys, s, t)
+    ys = y.copy()
+    try:
+        return ys, _kink_search(ys, s, t, _windows(ys, y, s, t))
+    except _Miss:
+        ys.sort()
+        return ys, _kink_search(ys, s, t)
 
 
 def _add_free(x: np.ndarray, at_zero: np.ndarray, at_cap: np.ndarray, c: float) -> None:
@@ -356,11 +554,10 @@ def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
     values it reads; if they fail, ``InconsistentCandidateError`` is raised.
     """
     y, s, t = inp.y, inp.s, inp.t
-    ys = np.sort(y)
     # Where a sum of y passes DBL_MAX it reads inf or NaN, not a warning: the
     # search then bisects, and the sign tests refuse a split it spoiled.
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, gamma = _kink_search(ys, s, t)
+        ys, (a, b, gamma) = _search(y, s, t)
         p = Partition(a, b)
         if p.a == p.b:
             # t*(D - a) reads no y, so its miss of s is judged at the scale of

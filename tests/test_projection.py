@@ -481,6 +481,239 @@ def test_block_sums_keep_the_split_of_two_bisections(f_calls, d):
                 assert gamma == projection._degenerate_gamma(ys, a, t)
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    # the wins of every kink search a solve runs: the sample's and the
+    # windows' (both at D > 2^14), then the full sort's after a miss (None)
+    calls = []
+    search = projection._kink_search
+
+    def recorded(ys, s, t, wins=None):
+        calls.append((ys.size, wins))
+        return search(ys, s, t, wins)
+
+    monkeypatch.setattr(projection, "_kink_search", recorded)
+    return calls
+
+
+def _fell_back(calls, d):
+    # whether the solve sorted all of y after its windows missed
+    return calls[-1] == (d, None) and any(size == d and wins for size, wins in calls)
+
+
+def _window_cases(rng, d):
+    # (label, y, s, t) on the window path; t = 1 unless set
+    uniform = rng.uniform(-1.0, 1.0, d)
+    half = rng.uniform(-0.5, 0.5, d)
+    quarter = rng.uniform(-0.25, 0.25, d)
+    ties = rng.integers(-8, 9, d) / 8.0
+    outlier = rng.uniform(-1.0, 1.0, d)
+    outlier[rng.integers(d)] = rng.choice([-1e15, 1e15])
+    cauchy = rng.standard_cauchy(d)
+    return [
+        ("ties", ties, 0.3 * d, 1.0),
+        ("ties at t/8", ties / 8.0, float(round(0.4 * d)) / 8.0, 1.0 / 8.0),
+        ("cauchy", cauchy, 0.3 * d, 1.0),
+        ("cauchy wide cap", cauchy, 0.2 * 30.0 * d, 30.0),
+        ("outlier", outlier, 0.3 * d, 1.0),
+        ("outlier, s < t", outlier, 0.5, 1.0),
+        ("both blocks", uniform, 0.3 * d, 1.0),
+        ("zero edge at 0", half, 0.8 * d, 1.0),
+        ("edges at 0 and D", quarter, 0.5 * d, 1.0),
+        ("cap edge at D", half, 0.2 * d, 1.0),
+        ("s = 0", uniform, 0.0, 1.0),
+        ("s = tD", uniform, 0.7 * d, 0.7),
+        ("s a multiple of t", uniform, 0.3 * float(round(0.4 * d)), 0.3),
+        # the all-pinned pretest reads y's two values of ranks D - s/t - 1
+        # and D - s/t; a gap of t between unsorted values would pass it
+        ("s a multiple of a small t", uniform, 0.01 * float(round(0.4 * d)), 0.01),
+    ]
+
+
+@pytest.mark.parametrize("d", [2**14 + 1, 3 * 2**14 + 5, 100_000, 2**18])
+def test_windows_keep_the_split_of_two_bisections(searches, d):
+    # past D = 2^14 the search reads only windows of y put in sorted place;
+    # its split is the one two bisections find on the whole sort, and its
+    # shift solves the sum to within the rounding error of any order of
+    # addition.  Most cases are answered from the windows; a tie group of
+    # the 1/8 grid is cut by a window's end, which the search reads exactly
+    rng = np.random.default_rng(d)
+    fell_back, cut = [], 0
+    for label, y, s, t in _window_cases(rng, d):
+        ys = np.sort(y)
+        searches.clear()
+        _, (a, b, gamma) = projection._search(y, s, t)
+        assert (a, b) == _two_bisections(ys, s, t), (label, s, t)
+        if a < b:
+            _assert_shift_solves_the_sum(ys, s, t, a, b, gamma)
+        else:
+            assert gamma == projection._degenerate_gamma(ys, a, t), label
+        wins = searches[1][1] if len(searches) > 1 else None
+        if wins and "ties" in label:
+            cut += any(0 < lo and ys[lo - 1] == ys[lo] for lo, _ in wins[0])
+        if _fell_back(searches, d):
+            fell_back.append(label)
+        if label == "edges at 0 and D":
+            assert (a, b) == (0, d) and wins[1] == ((0, 1), (d - 1, d))
+    assert cut, "no window end cut a tie group"
+    assert len(fell_back) <= 1, fell_back
+
+
+@pytest.mark.parametrize("d", [2**14 + 1, 100_000])
+def test_windows_put_their_spans_in_sorted_place(d):
+    # every span holds the values of its ranks in sorted order, the runs
+    # between spans hold the values of theirs, the extremes sit at the ends,
+    # and each edge's window lies in a span; when s is a multiple of t, so
+    # do the two values the all-pinned pretest reads
+    rng = np.random.default_rng(d + 1)
+    for label, y, s, t in _window_cases(rng, d):
+        ys, want = y.copy(), np.sort(y)
+        wins = projection._windows(ys, y, s, t)
+        if wins is None:
+            assert ys.tobytes() == want.tobytes(), label
+            continue
+        spans, windows = wins
+        assert (ys[0], ys[-1]) == (want[0], want[-1]), label
+        cuts = [0]
+        for lo, hi in spans:
+            assert cuts[-1] <= lo < hi, (label, spans)
+            npt.assert_array_equal(ys[lo:hi], want[lo:hi], err_msg=label)
+            cuts += [lo, hi]
+        for lo, hi in zip(cuts[::2], cuts[1::2]):
+            npt.assert_array_equal(np.sort(ys[lo:hi]), want[lo:hi], err_msg=label)
+        for lo, hi in windows:
+            assert any(i <= lo and hi <= j for i, j in spans), (label, windows, spans)
+        a = d - round(s / t)
+        if s == t * (d - a) and 0 < a < d:
+            assert any(i < a < j for i, j in spans), (label, a, spans)
+
+
+def _search_in(ys, s, t, zero, cap, *extra):
+    # the kink search on a wholly sorted ys read as if only the zero and
+    # the cap edge's windows, the spans extra and the extremes were in
+    # sorted place
+    d = ys.size
+    return projection._kink_search(ys, s, t, (((0, 1), zero, cap, *extra, (d - 1, d)), (zero, cap)))
+
+
+def test_a_window_search_answers_exactly_or_misses():
+    # any windows of a sorted ys: the search returns the whole sort's
+    # triple, bit for bit, or raises _Miss; it never trusts a window that
+    # does not hold the answer
+    rng = np.random.default_rng(41)
+    d = 2**14 + 1
+    answered = missed = 0
+    for y in (rng.uniform(-1.0, 1.0, d), rng.integers(-8, 9, d) / 8.0, rng.standard_cauchy(d)):
+        ys = np.sort(y)
+        for s in (0.2 * d, 0.45 * d, 0.7 * d):
+            a, b, gamma = _kink_search(ys, s, 1.0)
+            for _ in range(40):
+                lo_a, lo_b = (int(v) for v in rng.integers(-600, 60, 2) + (a, b))
+                hi_a, hi_b = (int(v) for v in rng.integers(-60, 600, 2) + (a, b))
+                zero = max(0, lo_a), min(d, max(hi_a, lo_a + 1))
+                cap = max(0, lo_b), min(d, max(hi_b, lo_b + 1))
+                try:
+                    got = _search_in(ys, s, 1.0, zero, cap)
+                except projection._Miss:
+                    missed += 1
+                    continue
+                answered += 1
+                assert got == (a, b, gamma), (s, zero, cap)
+    assert answered > 100 and missed > 100, (answered, missed)
+
+
+def _tie_instance():
+    # a sorted ys with a group of 40 equal values starting at the zero edge
+    ys = np.sort(np.concatenate((np.linspace(-2.0, -1.0, 300), np.full(40, -0.5), np.linspace(0.0, 0.9, 300))))
+    s = 300.0
+    a, b, _ = _kink_search(ys, s, 1.0)
+    assert (a, ys[a], ys[a + 39], ys[a + 40] > ys[a]) == (300, -0.5, -0.5, True)
+    return ys, s, a, b
+
+
+def test_an_edge_on_the_end_of_its_window_misses():
+    # the extra span ranks every probe, so only the edge's place decides
+    ys, s, a, b = _tie_instance()
+    d, rest = ys.size, (a + 30, ys.size)
+    assert _search_in(ys, s, 1.0, (a - 20, a + 60), (b - 20, b + 20), rest)[:2] == (a, b)
+    with pytest.raises(projection._Miss):  # the test one kink below a was never read
+        _search_in(ys, s, 1.0, (a, a + 60), (b - 20, b + 20), rest)
+    with pytest.raises(projection._Miss):  # nor the one at b
+        _search_in(ys, s, 1.0, (a - 20, a + 60), (b - 20, b), rest)
+    # an edge on a window's end that is an end of ys is exact
+    assert _search_in(ys, s, 1.0, (a - 20, a + 60), (b - 20, d), rest)[:2] == (a, b)
+
+
+def test_a_probe_outside_the_windows_misses():
+    # t - gamma at the zero edge's kinks lies far below the cap window
+    ys, s, a, b = _tie_instance()
+    with pytest.raises(projection._Miss):
+        _search_in(ys, s, 1.0, (a - 20, a + 60), (b + 50, b + 100))
+
+
+def test_a_tie_group_cut_by_a_window_end_misses():
+    # the zero edge starts a group of 40 equal values; a window ending
+    # inside it does not hold the count of values <= y_a
+    ys, s, a, b = _tie_instance()
+    rest = (a + 45, ys.size)
+    assert _search_in(ys, s, 1.0, (a - 20, a + 45), (b - 20, b + 20), rest)[:2] == (a, b)
+    with pytest.raises(projection._Miss):
+        _search_in(ys, s, 1.0, (a - 20, a + 10), (b - 20, b + 20), rest)
+
+
+def _full_sort(monkeypatch, inp):
+    # the answer of the full-sort path: no window is placed
+    with monkeypatch.context() as m:
+        m.setattr(projection, "_windows", lambda ys, y, s, t: ys.sort())
+        return project_capped_box(inp)
+
+
+def _assert_same_answer(res, ref):
+    assert res.partition == ref.partition
+    assert res.at_zero.tobytes() == ref.at_zero.tobytes()
+    assert res.at_cap.tobytes() == ref.at_cap.tobytes()
+    assert res.x.tobytes() == ref.x.tobytes()
+
+
+def test_a_sample_that_sees_one_phase_falls_back_to_the_full_sort(monkeypatch, searches):
+    # y repeats with the sample's stride, so the sample holds one phase:
+    # values near 0.9, while y spans [-1, 1]; the windows it predicts miss
+    d = 2**18
+    q = d // projection._SAMPLE
+    rng = np.random.default_rng(9)
+    phases = rng.uniform(-1.0, 1.0, q)
+    phases[0] = 0.9
+    y = np.tile(phases, d // q) + rng.uniform(0.0, 1e-9, d)
+    inp = ProjectionInput(y, 0.4 * d)
+    res = project_capped_box(inp)
+    assert _fell_back(searches, d)
+    assert 0 < res.partition.a < res.partition.b < d
+    _assert_same_answer(res, _full_sort(monkeypatch, inp))
+    assert certify_result(inp, res)[1].passed
+
+
+def test_windows_too_narrow_fall_back_to_the_full_sort(monkeypatch, searches):
+    # every window shrunk to 4 positions around its middle
+    positions = projection._positions
+
+    def narrow(*args):
+        lo, hi = positions(*args)
+        return (lo + hi) // 2 - 2, (lo + hi) // 2 + 2
+
+    d = 100_000
+    y = np.random.default_rng(10).uniform(-1.0, 1.0, d)
+    inp = ProjectionInput(y, 0.3 * d)
+    monkeypatch.setattr(projection, "_positions", narrow)
+    res = project_capped_box(inp)
+    assert _fell_back(searches, d)
+    assert 0 < res.partition.a < res.partition.b < d
+    monkeypatch.setattr(projection, "_positions", positions)
+    searches.clear()
+    ref = _full_sort(monkeypatch, inp)
+    assert not _fell_back(searches, d)
+    _assert_same_answer(res, ref)
+
+
 def test_block_sums_add_up_every_slice():
     # integers add up exactly in any order, so a value dropped or counted
     # twice next to a block's edge shows
@@ -504,8 +737,9 @@ def _mask_product_assembly(y, s, t, p):
     # the reference x and gamma: y clipped to the interior's range, plus
     # gamma, times the free mask, plus t on the cap block, then one
     # re-centering of the interior; gamma starts from the interior summed as
-    # the search sums it, so only the assembly is compared
-    ys, d, a, b = np.sort(y), y.size, p.a, p.b
+    # the search sums it, over the buffer it searched (y sorted, or past
+    # D = 2^14 sorted only in its windows), so only the assembly is compared
+    (ys, _), d, a, b = projection._search(y, s, t), y.size, p.a, p.b
     at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
     gamma = (s - t * (d - b) - projection._sum(ys, projection._block_sums(ys), a, b)) / (b - a)
@@ -772,7 +1006,7 @@ def test_general_cap_matches_rescaled_oracle(inst):
     assert certify_result(inp, res)[1].passed
 
 
-def test_solve_peak_memory_stays_under_two_arrays():
+def test_solve_peak_memory_stays_under_two_arrays(monkeypatch):
     # the sorted copy is the one array of D doubles a solve allocates: x is
     # built in its buffer.  Beside it the solve holds the two masks (D bytes
     # each), and the re-centering a free mask and its product for one block
@@ -784,9 +1018,17 @@ def test_solve_peak_memory_stays_under_two_arrays():
     d = 1 << 18
     y = np.random.default_rng(0).random(d) * 2.0 - 1.0
     inp = ProjectionInput(y, 0.3 * d)
-    res = project_capped_box(inp)
+    shifts = []
+
+    def search(*args):
+        shifts.append(_kink_search(*args))
+        return shifts[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(projection, "_kink_search", search)
+        res = project_capped_box(inp)
     assert 0 < res.partition.a < res.partition.b < d
-    assert res.gamma != _kink_search(np.sort(y), inp.s, inp.t)[2]  # delta != 0
+    assert res.gamma != shifts[-1][2]  # delta != 0: the solve's shift was re-centered
     tracemalloc.start()
     try:
         project_capped_box(inp)
