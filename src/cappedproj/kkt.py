@@ -41,7 +41,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InconsistentCandidateError, InvalidInputError
-from .projection import _BLOCK, ProjectionInput, ProjectionResult
+from .projection import _BLOCK, ProjectionInput, ProjectionResult, _reals
 
 DEFAULT_TOL = 1e-8
 
@@ -143,7 +143,7 @@ def _classify(x, cap):
 
 
 def _candidate(inp, x):
-    x = np.asarray(x, dtype=np.float64)
+    x = _reals(x, "x")
     if x.shape != inp.y.shape:
         raise InvalidInputError("x must have the same length as the instance")
     return x

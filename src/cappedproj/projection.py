@@ -3,30 +3,30 @@
 The feasible set is ``{x : sum(x) = s, 0 <= x <= t}``; the capped simplex of
 the paper is the unit cap ``t = 1``.  Sorted ascending, the unique minimizer
 of ``0.5*||x - y||^2`` over this set consists of ``a`` zeros, then interior
-values ``y_k + gamma``, then ``D - b`` entries at the cap.  The solver
-finds ``(a, b)`` among the kinks of the piecewise linear sum
+values ``y_k + gamma``, then ``D - b`` entries at the cap.  The solver finds
+``(a, b)`` among the kinks of the piecewise linear sum
 ``f(gamma) = sum(clip(y + gamma, 0, t))``, read in sorted order, probing
 where a Newton step on f predicts each edge: about 5 evaluations of f per
-solve, at most ``2*ceil(log2(D+1)) + 12``.  Up to D = 2^14 the values are
-sorted once.  Above that a sample of about 4,096 of them predicts the
-edges, and only a window around each (with the few other values the
-probes rank) is put in sorted place, by in-place partitions, and sorted
-(``_windows``).  The search reads only those windows; when its answer is
-not in them it raises ``_Miss``, the rest of the values are sorted and the
-search runs again, so the whole sort is the widest window.  Each f sums
-the interior pairwise, in ``O(log D + interior)`` up to D = 2^14; above
-that, from the sums of the whole blocks of 2^14 values of its buffer,
-taken once per search, plus the two fringes, in
-``O(log D + 2^14 + D/2^14)``: a sum needs the values of its ranks, not
-their order.  The search returns the shift
-``gamma`` with the split, solved from the sum constraint with the interior
-summed as f sums it, and the solver checks the split with the optimality
-sign tests.  They say the bound multipliers that stationarity forces on the
-split are nonnegative, so a split that passes them satisfies the full
-first-order system and is the minimizer.  A split that fails them raises
-instead of being returned.  The answer is ``y + gamma`` in the input order,
-clipped once to ``[0, t]``: a split never cuts a group of equal values, so
-each block is an exact comparison of y against one sorted value.
+solve, at most ``2*ceil(log2(D+1)) + 12``.  The search runs on a copy of y,
+sorted whole up to D = 2^14.  Above that a sample of about 4,096 values
+predicts the edges, and only a window around each (with the few other
+values the probes rank) is put in sorted place by in-place partitions and
+sorted (``_windows``).  Every rank is one binary search over the whole copy,
+trusted only where it is exact (``_f``).  A rank not trusted, or an edge
+outside its window, raises ``_Miss``: the rest of the copy is sorted and the
+same search runs again.  Each f sums the interior pairwise, in
+``O(log D + interior)`` up to D = 2^14; above that, from the sums of the
+whole blocks of 2^14 values of its buffer, taken once per search, plus the
+two fringes, in ``O(log D + 2^14 + D/2^14)``: a sum needs the values of its
+ranks, not their order.  The search returns the shift ``gamma`` with the
+split, solved from the sum constraint with the interior summed as f sums
+it, and the solver checks the split with the optimality sign tests.  They
+say the bound multipliers that stationarity forces on the split are
+nonnegative, so a split that passes them satisfies the full first-order
+system and is the minimizer.  A split that fails them raises instead of
+being returned.  The answer is ``y + gamma`` in the input order, clipped
+once to ``[0, t]``: a split never cuts a group of equal values, so each
+block is an exact comparison of y against one sorted value.
 """
 
 from __future__ import annotations
@@ -39,9 +39,20 @@ import numpy as np
 from .errors import InconsistentCandidateError, InfeasibleError, InvalidInputError
 
 
+def _reals(v, name: str) -> np.ndarray:
+    # v as float64, refusing a complex dtype and any entry numpy cannot convert
+    try:
+        v = np.asarray(v)
+        if v.dtype.kind != "c":
+            return v.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} has an entry that is not a real number: {exc}") from None
+    raise InvalidInputError(f"{name} must be real, got the complex dtype {v.dtype}")
+
+
 def _vector(y) -> np.ndarray:
     """y as a contiguous float64 vector; refuses any other shape, D = 0 and non-finite entries."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _reals(y, "y")
     if y.ndim != 1 or y.size < 1:
         raise InvalidInputError("y must be a one-dimensional vector with D >= 1")
     if not np.isfinite(y).all():
@@ -50,8 +61,8 @@ def _vector(y) -> np.ndarray:
 
 
 def _whole(v, name: str) -> int:
-    """v as an int; refuses a value that int() would truncate, such as 2.7."""
-    n = int(v)
+    """v as an int; refuses a value that int() would truncate, such as 2.7, and NaN and inf."""
+    n = int(v) if v == v and v not in (math.inf, -math.inf) else None
     if n != v:
         raise InvalidInputError(f"{name} must be a whole number, got {v!r}")
     return n
@@ -168,10 +179,9 @@ def boundary_case_holds(ys: np.ndarray, a: int, s: float, eps: float, t: float =
 def _degenerate_gamma(ys: np.ndarray, a: int, t: float) -> float:
     # Any value in [t - y_{a+1}, -y_a] gives nonnegative multipliers; report
     # the midpoint, or the finite endpoint when one side is unbounded.
-    d = ys.size
     if a == 0:
         return t - ys[0]
-    if a == d:
+    if a == ys.size:
         return -ys[-1]
     return 0.5 * ((t - ys[a]) - ys[a - 1])
 
@@ -212,20 +222,6 @@ class _Miss(Exception):
     """A probe or a block edge of the kink search fell outside the sorted windows."""
 
 
-def _rank(ys: np.ndarray, spans, v: float, side: str) -> int:
-    # ys.searchsorted(v, side), read from the first of the sorted spans
-    # (lo, hi) of ys that decides it.  Every value before a span is <=
-    # ys[lo] and every value after it >= ys[hi - 1], so a count that lands
-    # strictly inside a span, or at an end of ys, is exact; one on a span's
-    # end inside ys could count values beyond it.  No span deciding it
-    # raises _Miss.
-    for lo, hi in spans:
-        k = lo + int(ys[lo:hi].searchsorted(v, side))
-        if (k > lo or lo == 0) and (k < hi or hi == ys.size):
-            return k
-    raise _Miss
-
-
 def _f(ys: np.ndarray, sums, t: float, gamma: float, spans=None):
     """``sum(clip(ys + gamma, 0, t))`` and its slope there.
 
@@ -235,15 +231,21 @@ def _f(ys: np.ndarray, sums, t: float, gamma: float, spans=None):
     sums.  The slope is the number of coordinates strictly between 0 and t.
     A coordinate with ``y + gamma == 0`` counts at zero even where
     ``t - gamma`` rounds to ``-gamma``, so the slope is never negative.
-    The interior's ends are ranked in ys, or, when ys is sorted only in
-    ``spans``, in those (``_rank``).
+    The interior's ends are ranked by one ``searchsorted`` each over all of
+    ys; when ys is sorted only in ``spans``, which reach both its ends, a
+    rank neither at an end of ys nor strictly inside a span raises ``_Miss``.
     """
-    if spans is None:
-        lo = int(ys.searchsorted(-gamma, side="right"))
-        hi = max(lo, int(ys.searchsorted(t - gamma, side="left")))
-    else:
-        lo = _rank(ys, spans, -gamma, "right")
-        hi = max(lo, _rank(ys, spans, t - gamma, "left"))
+    # Exact: each run of ys between spans holds the values of its ranks, so
+    # ys[i] < v (<= v on the right side) is monotone outside the run that
+    # holds v's count c strictly inside it.  With no such run the search
+    # returns c; with one, a position from that run's first to one past its
+    # last, the end of a span inside ys, which the rule never trusts.
+    lo = int(ys.searchsorted(-gamma, side="right"))
+    hi = int(ys.searchsorted(t - gamma, side="left"))
+    for k in (lo, hi) if spans else ():
+        if 0 < k < ys.size and not any(i < k < j for i, j in spans):
+            raise _Miss
+    hi = max(lo, hi)
     return t * (ys.size - hi) + _sum(ys, sums, lo, hi) + (hi - lo) * gamma, hi - lo
 
 
@@ -258,14 +260,13 @@ def _block_edge(ys, sums, s, t, cap, lo, guess, wins):
     no kink lies between them.  A probe with no usable guess (NaN on a flat
     piece of f, or a shift that overflowed) bisects, and so does every probe
     after the guided ones.  When ys is sorted only in parts, ``wins`` is
-    ``(spans, windows)``: f ranks in the sorted spans, and the bracket is
-    the part of the edge's sorted window ``windows[cap]`` from lo on.  An
-    answer on an end of that window, other than lo or D, raises ``_Miss``:
-    the test one kink beyond it was never read.
+    ``(spans, windows)``: f trusts only ranks in the sorted spans, and the
+    bracket is the part of the edge's sorted window ``windows[cap]`` from
+    lo on.  An answer on an end of that window, other than lo or D, raises
+    ``_Miss``: the test one kink beyond it was never read.
     """
     d = ys.size
     spans, (left, right) = (None, (0, d)) if wins is None else (wins[0], wins[1][cap])
-    window = ys[left:right]
     lo0, lo, hi = lo, max(lo, left), right
     shift, side = (t, "left") if cap else (0.0, "right")
     guided = _GUIDED
@@ -274,9 +275,9 @@ def _block_edge(ys, sums, s, t, cap, lo, guess, wins):
         if guided and hi - lo > 2:  # two bisection probes close a smaller bracket
             guided -= 1
             if math.isfinite(guess):
-                g = left + int(window.searchsorted(shift - guess, side))
-                # a guess outside the bracket is known wrong; one past a
-                # window's end inside ys would probe a rank beyond the spans
+                # ranked as f ranks, so exact strictly inside the window;
+                # a guess outside the bracket is known wrong
+                g = int(ys.searchsorted(shift - guess, side))
                 if lo <= g <= hi and (left < g < right or right - left == d):
                     k = min(g, hi - 1)
         gamma = t - ys.item(k) if cap else -ys.item(k)
@@ -320,17 +321,16 @@ def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
 
     ``wins`` is ``(spans, windows)`` when ys is sorted only in the spans
     ``(lo, hi)`` (``_windows``): each edge is searched in its window, and a
-    probe or an edge that leaves the spans raises ``_Miss``.  None is the
-    widest window, ys sorted throughout.  The sums need no order: the
-    positions between two spans hold the values of those ranks.
+    rank f does not trust, or an edge off its window, raises ``_Miss``.
+    None is the widest window, ys sorted throughout.  The sums need no
+    order: the positions between two spans hold the values of those ranks.
     """
     d = ys.size
-    a = d - round(s / t)
-    if boundary_case_holds(ys, a, s, 0.0, t):
-        return a, a, _degenerate_gamma(ys, a, t)
-    sums = _block_sums(ys)
-    a, guess = _block_edge(ys, sums, s, t, False, 0, (s - _sum(ys, sums, 0, d)) / d, wins)
-    b, _ = _block_edge(ys, sums, s, t, True, a, guess, wins)
+    a = b = d - round(s / t)
+    if not boundary_case_holds(ys, a, s, 0.0, t):
+        sums = _block_sums(ys)
+        a, guess = _block_edge(ys, sums, s, t, False, 0, (s - _sum(ys, sums, 0, d)) / d, wins)
+        b, _ = _block_edge(ys, sums, s, t, True, a, guess, wins)
     if a == b:
         return a, a, _degenerate_gamma(ys, a, t)
     return a, b, (s - t * (d - b) - _sum(ys, sums, a, b)) / (b - a)
@@ -394,14 +394,14 @@ def _cut(ys: np.ndarray, lo: int, hi: int, cuts) -> None:
                 ys[i], ys[j] = ys[j], ys[i]
 
 
-def _windows(ys: np.ndarray, y: np.ndarray, s: float, t: float):
+def _windows(ys: np.ndarray, s: float, t: float):
     """Sorts the parts of ``ys``, a copy of y, that the kink search reads; returns its ``wins``.
 
-    A strided sample of about ``_SAMPLE`` values of y, solved by the kink
-    search at ``s*m/D``, predicts the shift.  Its standard error is that of
-    the sample's sum over the slope of f, ``sqrt(m) * sd / n`` with ``sd``
-    the spread of ``clip(sample + shift, 0, t)`` and ``n`` the sample's
-    interior.  The minimum and the maximum go to the ends of ys.  Each
+    A strided sample of about ``_SAMPLE`` values of ys, taken before any
+    moves and solved by the kink search at ``s*m/D``, predicts the shift,
+    with the standard error of the sample's sum over the slope of f:
+    ``sqrt(m) * sd / n``, ``sd`` the spread of ``clip(sample + shift, 0, t)``
+    and ``n`` the sample's interior.  The minimum and the maximum go to the ends of ys.  Each
     edge's window holds its kinks for a shift within ``_Z`` standard errors
     (``_around``), at the positions the sample gives them widened by ``_Z``
     standard errors of its counts (``_positions``); where every such shift
@@ -413,12 +413,15 @@ def _windows(ys: np.ndarray, y: np.ndarray, s: float, t: float):
     span in place, and each is sorted.
 
     The sample only places the windows: whether they hold the answer is
-    decided by the search, which raises ``_Miss`` when they do not.  A
-    sample with no interior, or a shift that is not finite, gives the
-    widest window: ys is sorted throughout, and None is returned.
+    decided by the search, which raises ``_Miss`` when they do not.  Up to
+    D = 2^14, or with a sample of no interior or a shift that is not
+    finite, ys is sorted throughout and None, the widest window, returned.
     """
-    d = y.size
-    sample = np.sort(y[:: d // _SAMPLE])
+    d = ys.size
+    if d <= _BLOCK:
+        ys.sort()
+        return None
+    sample = np.sort(ys[:: d // _SAMPLE])
     m = sample.size
     a, b, g = _kink_search(sample, s * m / d, t)
     # sd^2 = E[c^2] - E[c]^2 over c = clip(sample + g, 0, t), of which the
@@ -470,16 +473,12 @@ def _windows(ys: np.ndarray, y: np.ndarray, s: float, t: float):
 def _search(y: np.ndarray, s: float, t: float):
     """The buffer the kink search ran on, and its ``(a, b, gamma)``.
 
-    Up to D = 2^14 the buffer is y sorted.  Above, it is a copy of y sorted
-    only in the windows ``_windows`` places; on a miss it is sorted the rest
-    of the way and searched again, so the full sort is the widest window.
+    The buffer is a copy of y, sorted in the spans ``_windows`` places (all
+    of it up to D = 2^14); a miss sorts the rest and reruns the same search.
     """
-    if y.size <= _BLOCK:
-        ys = np.sort(y)
-        return ys, _kink_search(ys, s, t)
     ys = y.copy()
     try:
-        return ys, _kink_search(ys, s, t, _windows(ys, y, s, t))
+        return ys, _kink_search(ys, s, t, _windows(ys, s, t))
     except _Miss:
         ys.sort()
         return ys, _kink_search(ys, s, t)

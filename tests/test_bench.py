@@ -48,7 +48,8 @@ class TestBenchPlan:
             BenchPlan(sizes=(50,), methods=("exact", "oracle"))
 
 
-# int() would truncate each count: D=2, one repetition, D=3, one iteration
+# int() would truncate each count (D=2, one repetition, D=3, one iteration)
+# and cannot convert NaN or inf
 @pytest.mark.parametrize(
     "make",
     [
@@ -56,8 +57,11 @@ class TestBenchPlan:
         lambda: BenchPlan(sizes=(10,), repetitions=1.9),
         lambda: random_instance(3.9, 0),
         lambda: SolverConfig(max_iters=1.5),
+        lambda: random_instance(float("nan"), 1),
+        lambda: BenchPlan(sizes=(10,), repetitions=float("inf")),
+        lambda: SolverConfig(max_iters=float("inf")),
     ],
-    ids=["sizes", "repetitions", "random_instance", "max_iters"],
+    ids=["sizes", "repetitions", "random_instance", "max_iters", "nan", "inf repetitions", "inf max_iters"],
 )
 def test_a_count_that_is_not_whole_is_refused(make):
     with pytest.raises(InvalidInputError, match="whole number"):

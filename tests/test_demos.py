@@ -2,8 +2,9 @@
 
 Each demo runs in its own interpreter with the checkout's ``src/`` on the
 path, as a reader would run it, and in a scratch directory, since demo 04
-writes a CSV file to its working directory.  Demo 02 reads the certificate's
-multipliers, which are built on first read.
+writes a CSV file to its working directory.  Each runs with ``-W error``:
+pyproject's warning filter does not reach a subprocess.  Demo 02 reads the
+certificate's multipliers, which are built on first read.
 """
 
 import os
@@ -29,7 +30,7 @@ def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True,
+        [sys.executable, "-W", "error", str(demo)], capture_output=True,
         text=True,
         timeout=120,
         env=env,

@@ -264,6 +264,15 @@ class TestCertify:
         inp = ProjectionInput(t * np.array([0.3, -0.2, 1.5]), 2.0 * t, t)
         assert certify(inp, project_capped_box(inp).x)[1].passed
 
+    def test_refuses_a_complex_candidate(self):
+        # a cast to float64 would judge its real part, the exact answer
+        inp = ProjectionInput(np.array([0.3, -0.2, 1.5]), 2.0)
+        res = project_capped_box(inp)
+        with pytest.raises(InvalidInputError, match="complex"):
+            certify(inp, res.x + 1e-3j)
+        with pytest.raises(InvalidInputError, match="complex"):
+            certify_result(inp, dataclasses.replace(res, x=res.x + 1e-3j))
+
     def test_all_pinned_candidate(self):
         y = np.array([0.4, -0.7, 0.2])
         inp = ProjectionInput(y, 3.0)

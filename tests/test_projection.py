@@ -80,8 +80,10 @@ class TestProjectionInput:
         (np.float64(0.5), "one-dimensional"),
         (np.array([0.0, np.nan]), "non-finite"),
         (np.array([1.0, -np.inf]), "non-finite"),
+        (np.array([0.3 + 5j, -0.2, 1.5]), "complex"),
+        (["a", 1.0], "not a real number"),
     ],
-    ids=["2-D", "empty", "0-D", "nan", "inf"],
+    ids=["2-D", "empty", "0-D", "nan", "inf", "complex", "string"],
 )
 def test_every_entry_point_refuses_a_bad_vector(entry, y, message):
     with pytest.raises(InvalidInputError, match=message):
@@ -336,7 +338,7 @@ def test_matches_oracle_on_ties_and_wide_values(inst):
 def test_wrong_split_raises(monkeypatch):
     # (0, 3), with the shift 0 that solves its sum, puts -2 in the interior
     # although the projection pins it at 0
-    monkeypatch.setattr(projection, "_kink_search", lambda ys, s, t: (0, 3, 0.0))
+    monkeypatch.setattr(projection, "_kink_search", lambda ys, s, t, wins=None: (0, 3, 0.0))
     with pytest.raises(InconsistentCandidateError):
         project_capped_simplex(ProjectionInput([-2.0, 0.5, 3.0], 1.5))
 
@@ -568,7 +570,7 @@ def test_windows_put_their_spans_in_sorted_place(d):
     rng = np.random.default_rng(d + 1)
     for label, y, s, t in _window_cases(rng, d):
         ys, want = y.copy(), np.sort(y)
-        wins = projection._windows(ys, y, s, t)
+        wins = projection._windows(ys, s, t)
         if wins is None:
             assert ys.tobytes() == want.tobytes(), label
             continue
@@ -664,7 +666,7 @@ def test_a_tie_group_cut_by_a_window_end_misses():
 def _full_sort(monkeypatch, inp):
     # the answer of the full-sort path: no window is placed
     with monkeypatch.context() as m:
-        m.setattr(projection, "_windows", lambda ys, y, s, t: ys.sort())
+        m.setattr(projection, "_windows", lambda ys, s, t: ys.sort())
         return project_capped_box(inp)
 
 
@@ -731,6 +733,46 @@ def test_f_where_both_kinks_of_a_coordinate_round_together():
     # at gamma = 1e17, t - gamma rounds to -gamma: y = -1e17 has y + gamma
     # == 0 and counts at zero, so the slope is 0, never negative
     assert projection._f(np.array([-1e17, 0.1]), None, 1.0, 1e17) == (1.0, 0)
+
+
+def test_f_trusts_a_rank_only_strictly_inside_a_sorted_span():
+    # ys partitioned by rank: sorted spans, among them both ends, and every
+    # run between them shuffled.  Each side's rank is probed at, between and
+    # beyond the values, the other side held at an end of ys.  On the 1/8
+    # grid every sum is exact in any order, so a trusted rank gives the
+    # sorted array's f bit for bit.  A rank strictly inside a span is always
+    # trusted, one strictly inside a run never, one on a span's end may miss
+    rng = np.random.default_rng(12)
+    d, spans = 400, ((0, 30), (80, 120), (200, 203), (260, 300), (370, 400))
+    runs = [(i, j) for (_, i), (j, _) in zip(spans, spans[1:])]
+    seen = {"span": 0, "run": 0, "end": 0}
+    for _ in range(20):
+        ys = np.sort(rng.integers(-64, 65, d) / 8.0)
+        buf = ys.copy()
+        for i, j in runs:
+            rng.shuffle(buf[i:j])
+        values = np.unique(ys)
+        low = values[0] - 1.0
+        for v in np.concatenate((values, (values[1:] + values[:-1]) / 2, [low, values[-1] + 1.0])):
+            # the zero side ranks -gamma = v; the cap side t - gamma = v
+            for gamma, t, c in (
+                (-v, 2.0 * (values[-1] - low), int(ys.searchsorted(v, "right"))),
+                (-low, v - low, int(ys.searchsorted(v, "left"))),
+            ):
+                where = (
+                    "span" if any(i < c < j for i, j in spans)
+                    else "run" if any(i < c < j for i, j in runs)
+                    else "end"
+                )
+                seen[where] += 1
+                try:
+                    got = projection._f(buf, None, t, gamma, spans)
+                except projection._Miss:
+                    assert where != "span", (v, c)
+                    continue
+                assert where != "run", (v, c)
+                assert got == projection._f(ys, None, t, gamma), (v, c)
+    assert min(seen.values()) > 100, seen
 
 
 def _mask_product_assembly(y, s, t, p):
