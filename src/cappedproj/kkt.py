@@ -22,8 +22,11 @@ A certificate is one pass over y, x, gamma and the two masks, in blocks of
 entries where its claimed block misfits x and keeps the running extremes
 of its residual terms; only ``x.min()``, ``x.max()`` and ``x.sum()`` read
 the whole of x.  A side with no coordinate is skipped: its g is +-0 on
-every entry and moves no residual.  That skip applies while x and gamma
-are finite and ``y + gamma - t`` cannot overflow; otherwise both sides run,
+every entry and moves no residual.  In a block where x sits exactly on the
+side's bound at every coordinate of its mask, the side skips its
+complementary-slackness terms and its misfit count: each product is g
+times +-0.  Both skips apply while x and gamma are finite and
+``y + gamma - t`` cannot overflow; otherwise both sides run every term,
 and a NaN or an inf shows in the report as in the whole-array formulas.
 ``certify_result`` forces the multipliers on the blocks the solver reports,
 ``certify`` on blocks it reads off the candidate.  No array of the size of
@@ -160,6 +163,13 @@ def _max(a, b):
 _BIG = float(np.finfo(np.float64).max)
 
 
+def _on_bound(xb, mb, bound, f) -> bool:
+    # whether xb equals bound on every entry of the mask mb; f is a boolean
+    # buffer of their size
+    np.not_equal(xb, bound, out=f)
+    return not np.count_nonzero(np.logical_and(f, mb, out=f))
+
+
 def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     """The residual report of (x, gamma) on inp from one pass over blocks.
 
@@ -174,11 +184,18 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     short blocks.
 
     A side with no coordinate has g = +-0 on every entry, which moves no
-    residual, so it is skipped.  That holds while nothing it meets can
-    overflow: x finite, and ``y + gamma`` and ``y + gamma - t`` finite for
-    every finite y, which also keeps ``x - t`` finite.  Otherwise both sides
-    run, so a NaN or an inf reaches the report as in the whole-array
-    formulas.
+    residual, so it is skipped.  A side whose block of x equals its bound
+    on every coordinate of its mask has ``g * (x - bound) = +-0`` on every
+    entry, and no misfit, so its complementary-slackness terms and misfit
+    count are skipped for that block (``_on_bound``).  Both hold while
+    nothing a side meets can overflow: x finite, and ``y + gamma`` and
+    ``y + gamma - t`` finite for every finite y, which also keeps ``x - t``
+    finite.  Otherwise both sides run every term, so a NaN or an inf
+    reaches the report as in the whole-array formulas.  Stationarity's
+    largest term ``|rs - gamma|``, with ``rs = x - y + g`` summed over the
+    sides, is ``max(max(rs) - gamma, gamma - min(rs))``, exact since
+    ``fl(v - gamma)`` is monotone in v; the terms themselves are formed
+    only where the per-coordinate rule runs.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
@@ -216,6 +233,7 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
             misfits[0] += np.count_nonzero(np.logical_and(*masks, out=f))
         np.subtract(xb, yb, out=rs)
         near = True  # every side's terms within the fast bound
+        slackness = []  # the cs terms of the sides that formed them
         for (k, side, bound, sign), g, r in pairs:
             mb = masks[side]
             np.add(yb, gamma, out=g)
@@ -223,6 +241,12 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
                 g -= bound
             g *= mb  # a product: np.where's per-entry branch is slow on masks in input order
             rs += g
+            # sign * g is minus the multiplier; its largest value is the dual residual
+            top_d = np.maximum.reduce(g) if sign > 0 else -np.minimum.reduce(g)
+            dual = _max(dual, top_d)
+            near = near and top_d <= fast
+            if exact and _on_bound(xb, mb, bound, f):
+                continue  # every cs term is +-0 and nothing misfits
             off = np.subtract(xb, bound, out=r) if bound else xb
             if check:
                 np.abs(off, out=w)
@@ -231,25 +255,26 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
             np.multiply(g, off, out=r)
             np.abs(r, out=r)
             top_c = np.maximum.reduce(r)
-            # sign * g is minus the multiplier; its largest value is the dual residual
-            top_d = np.maximum.reduce(g) if sign > 0 else -np.minimum.reduce(g)
-            cs, dual = _max(cs, top_c), _max(dual, top_d)
-            near = near and top_c <= fast * t and top_d <= fast
-        rs -= gamma
-        np.abs(rs, out=rs)
-        top_s = np.maximum.reduce(rs)
+            cs = _max(cs, top_c)
+            near = near and top_c <= fast * t
+            slackness.append(r)
+        # max |rs - gamma| from the extremes of rs: fl(v - gamma) is monotone in v
+        top_s = _max(np.maximum.reduce(rs) - gamma, gamma - np.minimum.reduce(rs))
         stat = _max(stat, top_s)
         if within and not (near and top_s <= fast):
             # w = tol * max(t, |y_i|, |gamma|), the bound of coordinate i; the
             # comparisons are written so that a NaN fails them
+            rs -= gamma
+            np.abs(rs, out=rs)
             np.abs(yb, out=w)
             np.maximum(w, c, out=w)
             w *= tol
             within = np.count_nonzero(np.less_equal(rs, w, out=f)) == m
             np.multiply(w, t, out=rs)
-            for (_, _, _, sign), g, r in pairs:
-                g *= sign
+            for r in slackness:
                 within = within and np.count_nonzero(np.less_equal(r, rs, out=f)) == m
+            for (_, _, _, sign), g, _ in pairs:
+                g *= sign
                 within = within and np.count_nonzero(np.less_equal(g, w, out=f)) == m
     if check:
         for count, message in zip(misfits, _MISFITS):

@@ -32,6 +32,7 @@ block is an exact comparison of y against one sorted value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,17 +56,24 @@ def _vector(y) -> np.ndarray:
     y = _reals(y, "y")
     if y.ndim != 1 or y.size < 1:
         raise InvalidInputError("y must be a one-dimensional vector with D >= 1")
-    if not np.isfinite(y).all():
-        raise InvalidInputError("y contains non-finite entries")
-    return np.ascontiguousarray(y)
+    y = np.ascontiguousarray(y)
+    # y @ y, one BLAS pass, is finite exactly when every entry is, unless it
+    # overflows; only then is each entry tested
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (math.isfinite(y @ y) or np.isfinite(y).all()):
+            raise InvalidInputError("y contains non-finite entries")
+    return y
 
 
 def _whole(v, name: str) -> int:
-    """v as an int; refuses a value that int() would truncate, such as 2.7, and NaN and inf."""
-    n = int(v) if v == v and v not in (math.inf, -math.inf) else None
-    if n != v:
+    """v as an int; refuses a value that int() would truncate, such as 2.7, and NaN and inf.
+
+    A value that is not a real number, such as None or 4+0j, and a bool are refused too.
+    """
+    real = isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+    if not (real and v == v and v not in (math.inf, -math.inf) and int(v) == v):
         raise InvalidInputError(f"{name} must be a whole number, got {v!r}")
-    return n
+    return int(v)
 
 
 @dataclass
@@ -484,6 +492,26 @@ def _search(y: np.ndarray, s: float, t: float):
         return ys, _kink_search(ys, s, t)
 
 
+def _sum_rounding(d: int, total: float) -> float:
+    """A bound on the rounding error of ``x.sum()`` for d values of x >= 0 that it sums to total.
+
+    numpy sums a float64 array pairwise: it halves the array down to blocks
+    of at most 128 values, adds each block in 8 lanes of at most 16 values,
+    combines the lanes in 3 levels and adds the up to 7 values left over one
+    at a time.  A block takes at most 15 + 3 + 6 = 24 roundings, there are
+    at most ``d.bit_length() - 6`` halvings above it (a half has at most
+    ``d/2 + 8`` values), and the reduction adds its first value once more,
+    so every value meets at most ``h = d.bit_length() + 19`` roundings.  The
+    sum is then within ``h*u/(1 - h*u)`` of the exact one, relative to it,
+    with u = 2^-53 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 4.2); relative to the computed total the
+    factor stays below ``(h + 1)*u``.  Where an interior value rounds just
+    below 0, ``sum |x|`` exceeds total and the bound is a little low: the
+    interior is then re-centered a little more often, never less.
+    """
+    return (d.bit_length() + 20) * 2.0**-53 * total
+
+
 def _add_free(x: np.ndarray, at_zero: np.ndarray, at_cap: np.ndarray, c: float) -> None:
     # x += c on the coordinates in neither mask, _BLOCK entries at a time:
     # the free mask and its product are formed per block, because as whole
@@ -531,12 +559,15 @@ def _assemble(
             np.maximum(x, 0.0, out=x)
         elif b < d:
             np.minimum(x, t, out=x)
-        # One re-centering pass: keeps the sum residual at rounding level
-        # after the interior values are rounded at large D.  The interior is
-        # read off the two masks a block at a time, so no third mask of D
-        # bytes is built.
-        delta = (s - float(x.sum())) / (b - a)
-        if delta != 0.0:
+        # One re-centering pass, only when the sum misses s by more than the
+        # rounding of the sum that measured it (_sum_rounding): a miss within
+        # that is noise, and adding it to every interior value only adds
+        # rounding.  A systematic miss, from a shift rounded at the scale of
+        # a large y, is corrected.  The interior is read off the two masks a
+        # block at a time, so no third mask of D bytes is built.
+        total = float(x.sum())
+        if abs(s - total) > _sum_rounding(d, total):
+            delta = (s - total) / (b - a)
             _add_free(x, at_zero, at_cap, delta)
             gamma += delta
     else:

@@ -48,8 +48,8 @@ class TestBenchPlan:
             BenchPlan(sizes=(50,), methods=("exact", "oracle"))
 
 
-# int() would truncate each count (D=2, one repetition, D=3, one iteration)
-# and cannot convert NaN or inf
+# int() would truncate each count (D=2, one repetition, D=3, one iteration),
+# cannot convert NaN, inf, None or a complex number, and reads a bool as 0 or 1
 @pytest.mark.parametrize(
     "make",
     [
@@ -60,8 +60,16 @@ class TestBenchPlan:
         lambda: random_instance(float("nan"), 1),
         lambda: BenchPlan(sizes=(10,), repetitions=float("inf")),
         lambda: SolverConfig(max_iters=float("inf")),
+        lambda: random_instance(4 + 0j, 0),
+        lambda: random_instance(None, 0),
+        lambda: random_instance(True, 0),
+        lambda: BenchPlan(sizes=(True,)),
+        lambda: SolverConfig(max_iters=np.True_),
     ],
-    ids=["sizes", "repetitions", "random_instance", "max_iters", "nan", "inf repetitions", "inf max_iters"],
+    ids=[
+        "sizes", "repetitions", "random_instance", "max_iters", "nan", "inf repetitions",
+        "inf max_iters", "complex", "None", "bool", "bool size", "numpy bool",
+    ],
 )
 def test_a_count_that_is_not_whole_is_refused(make):
     with pytest.raises(InvalidInputError, match="whole number"):

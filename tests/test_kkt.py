@@ -20,6 +20,7 @@ from cappedproj import (
     project_capped_simplex,
     random_instance,
 )
+from cappedproj import kkt
 
 
 def _result(x, gamma, at_zero, at_cap):
@@ -368,8 +369,9 @@ def _outlier_rows(count, seed=401, d=64):
         yield ProjectionInput(y, float(rng.uniform(0.0, d)))
 
 
-# Correct general-cap answers whose sum residual (1.1e-8 and 1.5e-8) is a few
-# ulps of s ~ 2e7, which an absolute tolerance of 1e-8 rejects.
+# General caps near 6.6e5 and s near 1.9e7.  Scaled by 4, which is exact,
+# their correct answers have a sum residual of a few ulps of s ~ 7.7e7, over
+# an absolute tolerance of 1e-8; the solver leaves a miss that small as it is.
 LARGE_CAP_CASES = [
     (
         [
@@ -428,9 +430,9 @@ class TestScaleRelativeRule:
 
     @pytest.mark.parametrize("y, s, t", LARGE_CAP_CASES)
     def test_large_cap_answers_pass(self, y, s, t):
-        inp = ProjectionInput(y, s, t)
+        inp = ProjectionInput(4.0 * np.array(y), 4.0 * s, 4.0 * t)
         res = project_capped_box(inp)
-        assert _close_to(res.x, _bisection_projection(inp.y, s, t), inp)
+        assert _close_to(res.x, _bisection_projection(inp.y, inp.s, inp.t), inp)
         _, report = certify_result(inp, res)
         assert report.sum_residual > 1e-8  # over an absolute 1e-8, within 1e-8 * s
         assert report.passed
@@ -704,3 +706,54 @@ def test_certify_result_peak_memory_stays_under_one_mib():
         tracemalloc.stop()
     assert report.passed
     assert peak <= 1 << 20, peak
+
+
+def _reports(inp, res, x, gamma):
+    # everything certify_result and certify say about (x, gamma): the report
+    # bits, passed, the multipliers' bytes, or the error raised
+    out = []
+    for run in (
+        lambda: certify_result(inp, dataclasses.replace(res, x=x, gamma=gamma)),
+        lambda: certify(inp, x),
+    ):
+        try:
+            cert, report = run()
+        except InconsistentCandidateError as exc:
+            out.append(str(exc))
+            continue
+        gamma_bits, multipliers = float(cert.gamma).hex(), (cert.alpha.tobytes(), cert.beta.tobytes())
+        out.append((_report_bits(report), report.passed, gamma_bits, multipliers))
+    return out
+
+
+@pytest.mark.parametrize("d", [64, 4096, (1 << 18) + 3])
+def test_the_on_bound_skip_leaves_every_report_bit(monkeypatch, d):
+    # with the skip of sides that sit exactly on their bound forced off,
+    # every term runs: the reports must not change, on exact answers, on a
+    # pinned entry moved 1 ulp or 1e-9 off its bound, and on NaN and inf
+    rng = np.random.default_rng(d)
+    inp = ProjectionInput(4.0 * rng.random(d) - 2.0, 0.4 * d)
+    res = project_capped_box(inp)
+    zero, cap = np.flatnonzero(res.at_zero)[-1], np.flatnonzero(res.at_cap)[-1]
+    cases = [(res.x, res.gamma)]
+    for k, moved in (
+        (zero, 5e-324),
+        (zero, 1e-9),
+        (cap, np.nextafter(inp.t, 0.0)),
+        (cap, inp.t - 1e-9),
+        (d // 2, np.nan),
+        (d // 2, np.inf),
+        (zero, -np.inf),
+    ):
+        x = res.x.copy()
+        x[k] = moved
+        cases.append((x, res.gamma))
+    cases += [(res.x, g) for g in (np.nan, np.inf, -np.inf, 1e308)]
+    on_bound, skipped = kkt._on_bound, []
+    monkeypatch.setattr(kkt, "_on_bound", lambda *args: skipped.append(on_bound(*args)) or skipped[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf meets 0, as in the formulas
+        fast = [_reports(inp, res, x, g) for x, g in cases]
+        assert sum(skipped) >= 2 * -(-d // (1 << 14))  # both sides of every block of res.x
+        monkeypatch.setattr(kkt, "_on_bound", lambda *args: False)
+        assert [_reports(inp, res, x, g) for x, g in cases] == fast
+    assert fast[0][0][1] and fast[0][1][1]  # the exact answer passes both

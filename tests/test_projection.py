@@ -80,14 +80,31 @@ class TestProjectionInput:
         (np.float64(0.5), "one-dimensional"),
         (np.array([0.0, np.nan]), "non-finite"),
         (np.array([1.0, -np.inf]), "non-finite"),
+        (np.array([np.inf, 1.0]), "non-finite"),
+        (np.array([1e200, np.nan]), "non-finite"),
+        (np.array([1e200, np.inf]), "non-finite"),
         (np.array([0.3 + 5j, -0.2, 1.5]), "complex"),
         (["a", 1.0], "not a real number"),
     ],
-    ids=["2-D", "empty", "0-D", "nan", "inf", "complex", "string"],
+    ids=["2-D", "empty", "0-D", "nan", "inf", "+inf", "overflow, nan", "overflow, inf", "complex", "string"],
 )
 def test_every_entry_point_refuses_a_bad_vector(entry, y, message):
     with pytest.raises(InvalidInputError, match=message):
         entry(y)
+
+
+@pytest.mark.parametrize("d", [2, 4096, (1 << 18) + 3])
+def test_a_finite_vector_whose_square_overflows_is_accepted(d):
+    # y @ y is inf here, so the check falls back to testing each entry;
+    # a non-finite entry anywhere is still refused
+    y = np.full(d, 1.0)
+    y[0] = 1e200
+    assert ProjectionInput(y, 1.0).y.tobytes() == y.tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        z = y.copy()
+        z[-1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            ProjectionInput(z, 1.0)
 
 
 class TestPartition:
@@ -778,17 +795,19 @@ def test_f_trusts_a_rank_only_strictly_inside_a_sorted_span():
 def _mask_product_assembly(y, s, t, p):
     # the reference x and gamma: y clipped to the interior's range, plus
     # gamma, times the free mask, plus t on the cap block, then one
-    # re-centering of the interior; gamma starts from the interior summed as
-    # the search sums it, over the buffer it searched (y sorted, or past
-    # D = 2^14 sorted only in its windows), so only the assembly is compared
+    # re-centering of the interior when the sum misses s by more than its own
+    # rounding; gamma starts from the interior summed as the search sums it,
+    # over the buffer it searched (y sorted, or past D = 2^14 sorted only in
+    # its windows), so only the assembly is compared
     (ys, _), d, a, b = projection._search(y, s, t), y.size, p.a, p.b
     at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
     gamma = (s - t * (d - b) - projection._sum(ys, projection._block_sums(ys), a, b)) / (b - a)
     free = ~(at_zero | at_cap)
     x = (np.clip(y, ys[a], ys[b - 1]) + gamma) * free + at_cap * t
-    delta = (s - float(x.sum())) / (b - a)
-    if delta != 0.0:
+    total = float(x.sum())
+    if abs(s - total) > projection._sum_rounding(d, total):
+        delta = (s - total) / (b - a)
         x += free * delta
         gamma += delta
     return x, gamma
@@ -1048,7 +1067,43 @@ def test_general_cap_matches_rescaled_oracle(inst):
     assert certify_result(inp, res)[1].passed
 
 
-def test_solve_peak_memory_stays_under_two_arrays(monkeypatch):
+@pytest.fixture
+def recenterings(monkeypatch):
+    # the shifts the assembly adds to the interior, one per re-centering
+    adds, add_free = [], projection._add_free
+    monkeypatch.setattr(projection, "_add_free", lambda *args: adds.append(args[-1]) or add_free(*args))
+    return adds
+
+
+@pytest.mark.parametrize("d", [64, 4096, (1 << 18) + 3, 1_000_000])
+def test_the_interior_is_re_centered_only_past_the_sums_rounding(recenterings, d):
+    # a miss of s within the rounding of x.sum() is left as it is, so the
+    # exact sum of x is within twice that bound of s; y offset by 1e9 rounds
+    # the shift at that scale, a systematic miss that is re-centered
+    adds = recenterings
+    rng = np.random.default_rng(d)
+    y = rng.random(d) - 0.5
+    skipped = 0
+    for u in (0.1, 0.37, 0.5, 0.83):
+        adds.clear()
+        inp = ProjectionInput(y, u * d)
+        res = project_capped_box(inp)
+        total = float(res.x.sum())
+        bound = projection._sum_rounding(d, total)
+        assert abs(total - math.fsum(res.x)) <= bound
+        if not adds:
+            skipped += 1
+            assert abs(inp.s - total) <= bound
+            assert abs(inp.s - math.fsum(res.x)) <= 2.0 * bound
+        adds.clear()
+        inp = ProjectionInput(y + 1e9, u * d)
+        res = project_capped_box(inp)
+        assert len(adds) == 1 and adds[0] != 0.0
+        assert certify_result(inp, res)[1].passed
+    assert skipped
+
+
+def test_solve_peak_memory_stays_under_two_arrays(recenterings):
     # the sorted copy is the one array of D doubles a solve allocates: x is
     # built in its buffer.  Beside it the solve holds the two masks (D bytes
     # each), and the re-centering a free mask and its product for one block
@@ -1056,21 +1111,15 @@ def test_solve_peak_memory_stays_under_two_arrays(monkeypatch):
     # buffer of 8192 doubles; 2^14 bytes more cover small objects.  A
     # whole-array free mask (two more arrays of D bytes) would pass this
     # bound, and so would a second array of D doubles.  Both blocks are
-    # present and the re-centering runs.
+    # present and the re-centering runs: y is offset by 1e6, so the interior
+    # sum that gives the shift rounds at that scale, and x misses s by far
+    # more than the rounding of its own sum.
     d = 1 << 18
-    y = np.random.default_rng(0).random(d) * 2.0 - 1.0
+    y = np.random.default_rng(0).random(d) * 2.0 - 1.0 + 1e6
     inp = ProjectionInput(y, 0.3 * d)
-    shifts = []
-
-    def search(*args):
-        shifts.append(_kink_search(*args))
-        return shifts[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(projection, "_kink_search", search)
-        res = project_capped_box(inp)
+    res = project_capped_box(inp)
     assert 0 < res.partition.a < res.partition.b < d
-    assert res.gamma != shifts[-1][2]  # delta != 0: the solve's shift was re-centered
+    assert len(recenterings) == 1 and recenterings[0] != 0.0
     tracemalloc.start()
     try:
         project_capped_box(inp)
