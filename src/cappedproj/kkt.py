@@ -29,14 +29,16 @@ times +-0.  Both skips apply while x and gamma are finite and
 ``y + gamma - t`` cannot overflow; otherwise both sides run every term,
 and a NaN or an inf shows in the report as in the whole-array formulas.
 ``certify_result`` forces the multipliers on the blocks the solver reports,
-``certify`` on blocks it reads off the candidate.  No array of the size of
-y is built: a ``KktCertificate`` keeps what forces the multipliers and
-builds ``alpha`` and ``beta`` when they are first read.
+``certify`` on blocks it reads off the candidate and the pass narrows to
+nonnegative multipliers.  No array of the size of y is built: a
+``KktCertificate`` keeps what forces the multipliers and builds ``alpha``
+and ``beta`` when they are first read.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -75,8 +77,9 @@ class KktCertificate:
     @cached_property
     def _multipliers(self):
         y, zero, one, cap = self._forced_by
-        shifted = y + self.gamma
-        return -shifted * zero, (shifted - cap) * one
+        with np.errstate(invalid="ignore", over="ignore"):
+            shifted = y + self.gamma
+            return -shifted * zero, (shifted - cap) * one  # inf * 0 is NaN, quietly
 
     @property
     def alpha(self) -> np.ndarray:
@@ -139,12 +142,6 @@ _MISFITS = (
 )
 
 
-def _classify(x, cap):
-    ctol = _slack(cap)
-    zero = x <= ctol
-    return zero, (x >= cap - ctol) & ~zero
-
-
 def _candidate(inp, x):
     x = _reals(x, "x")
     if x.shape != inp.y.shape:
@@ -180,6 +177,9 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     arithmetic, and ``|g * (x - bound)|`` is ``|alpha * x|`` or
     ``|beta * (t - x)|``.  With ``check``, the masks are checked against x
     in the same pass, and a misfit raises ``InconsistentCandidateError``.
+    Without it, each side narrows its mask in place to ``sign * g <= 0``,
+    a nonnegative multiplier (``fl(fl(y + gamma) - t) >= 0`` exactly when
+    ``fl(y + gamma) >= t``); a side so emptied adds only +-0 terms.
     Reductions call the ufuncs directly: ``a.max()`` costs twice as much on
     short blocks.
 
@@ -191,11 +191,12 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     nothing a side meets can overflow: x finite, and ``y + gamma`` and
     ``y + gamma - t`` finite for every finite y, which also keeps ``x - t``
     finite.  Otherwise both sides run every term, so a NaN or an inf
-    reaches the report as in the whole-array formulas.  Stationarity's
-    largest term ``|rs - gamma|``, with ``rs = x - y + g`` summed over the
-    sides, is ``max(max(rs) - gamma, gamma - min(rs))``, exact since
-    ``fl(v - gamma)`` is monotone in v; the terms themselves are formed
-    only where the per-coordinate rule runs.
+    reaches the report as in the whole-array formulas, with numpy's
+    warnings off (0 * inf).  Stationarity's largest term ``|rs - gamma|``,
+    with ``rs = x - y + g`` summed over the sides, is
+    ``max(max(rs) - gamma, gamma - min(rs))``, exact since ``fl(v - gamma)``
+    is monotone in v; the terms are formed only where the per-coordinate
+    rule runs.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
@@ -220,62 +221,67 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     misfits = np.zeros(len(_MISFITS), dtype=np.intp)
     within = True
     m = 0
-    for i in range(0, d, _BLOCK):
-        j = min(i + _BLOCK, d)
-        if j - i != m:  # the first block, and a partial last one
-            m = j - i
-            (rs, w, *buffers), f = work[:, :m], flags[:m]
-            pairs = list(zip(sides, buffers[::2], buffers[1::2]))
-        # the block's views, formed once for both sides; one block is the
-        # whole of each array
-        xb, yb, *masks = (x, y, zero, one) if m == d else (v[i:j] for v in (x, y, zero, one))
-        if check and len(sides) == 2:
-            misfits[0] += np.count_nonzero(np.logical_and(*masks, out=f))
-        np.subtract(xb, yb, out=rs)
-        near = True  # every side's terms within the fast bound
-        slackness = []  # the cs terms of the sides that formed them
-        for (k, side, bound, sign), g, r in pairs:
-            mb = masks[side]
-            np.add(yb, gamma, out=g)
-            if bound:
-                g -= bound
-            g *= mb  # a product: np.where's per-entry branch is slow on masks in input order
-            rs += g
-            # sign * g is minus the multiplier; its largest value is the dual residual
-            top_d = np.maximum.reduce(g) if sign > 0 else -np.minimum.reduce(g)
-            dual = _max(dual, top_d)
-            near = near and top_d <= fast
-            if exact and _on_bound(xb, mb, bound, f):
-                continue  # every cs term is +-0 and nothing misfits
-            off = np.subtract(xb, bound, out=r) if bound else xb
-            if check:
-                np.abs(off, out=w)
-                np.greater(w, ctol, out=f)
-                misfits[k] += np.count_nonzero(np.logical_and(f, mb, out=f))
-            np.multiply(g, off, out=r)
-            np.abs(r, out=r)
-            top_c = np.maximum.reduce(r)
-            cs = _max(cs, top_c)
-            near = near and top_c <= fast * t
-            slackness.append(r)
-        # max |rs - gamma| from the extremes of rs: fl(v - gamma) is monotone in v
-        top_s = _max(np.maximum.reduce(rs) - gamma, gamma - np.minimum.reduce(rs))
-        stat = _max(stat, top_s)
-        if within and not (near and top_s <= fast):
-            # w = tol * max(t, |y_i|, |gamma|), the bound of coordinate i; the
-            # comparisons are written so that a NaN fails them
-            rs -= gamma
-            np.abs(rs, out=rs)
-            np.abs(yb, out=w)
-            np.maximum(w, c, out=w)
-            w *= tol
-            within = np.count_nonzero(np.less_equal(rs, w, out=f)) == m
-            np.multiply(w, t, out=rs)
-            for r in slackness:
-                within = within and np.count_nonzero(np.less_equal(r, rs, out=f)) == m
-            for (_, _, _, sign), g, _ in pairs:
-                g *= sign
-                within = within and np.count_nonzero(np.less_equal(g, w, out=f)) == m
+    # only a NaN or an inf meets 0 * inf, so the exact path skips the errstate
+    with nullcontext() if exact else np.errstate(invalid="ignore", over="ignore"):
+        for i in range(0, d, _BLOCK):
+            j = min(i + _BLOCK, d)
+            if j - i != m:  # the first block, and a partial last one
+                m = j - i
+                (rs, w, *buffers), f = work[:, :m], flags[:m]
+                pairs = list(zip(sides, buffers[::2], buffers[1::2]))
+            # the block's views, formed once for both sides; one block is the
+            # whole of each array
+            xb, yb, *masks = (x, y, zero, one) if m == d else (v[i:j] for v in (x, y, zero, one))
+            if check and len(sides) == 2:
+                misfits[0] += np.count_nonzero(np.logical_and(*masks, out=f))
+            np.subtract(xb, yb, out=rs)
+            near = True  # every side's terms within the fast bound
+            slackness = []  # the cs terms of the sides that formed them
+            for (k, side, bound, sign), g, r in pairs:
+                mb = masks[side]
+                np.add(yb, gamma, out=g)
+                if bound:
+                    g -= bound
+                if not check:  # keep the coordinates whose multiplier is nonnegative
+                    mb &= (np.less_equal if sign > 0 else np.greater_equal)(g, 0.0, out=f)
+                g *= mb  # a product: np.where's per-entry branch is slow on masks in input order
+                rs += g
+                # sign * g is minus the multiplier; its largest value is the dual residual
+                top_d = np.maximum.reduce(g) if sign > 0 else -np.minimum.reduce(g)
+                dual = _max(dual, top_d)
+                near = near and top_d <= fast
+                if exact and _on_bound(xb, mb, bound, f):
+                    continue  # every cs term is +-0 and nothing misfits
+                off = np.subtract(xb, bound, out=r) if bound else xb
+                if check:
+                    np.abs(off, out=w)
+                    np.greater(w, ctol, out=f)
+                    misfits[k] += np.count_nonzero(np.logical_and(f, mb, out=f))
+                np.multiply(g, off, out=r)
+                np.abs(r, out=r)
+                top_c = np.maximum.reduce(r)
+                cs = _max(cs, top_c)
+                near = near and top_c <= fast * t
+                slackness.append(r)
+            # max |rs - gamma| from the extremes of rs: fl(v - gamma) is monotone in v
+            top_s = _max(np.maximum.reduce(rs) - gamma, gamma - np.minimum.reduce(rs))
+            stat = _max(stat, top_s)
+            if within and not (near and top_s <= fast):
+                # w = tol * max(t, |y_i|, |gamma|), the bound of coordinate i; the
+                # comparisons are written so that a NaN fails them
+                rs -= gamma
+                np.abs(rs, out=rs)
+                np.abs(yb, out=w)
+                np.maximum(w, c, out=w)
+                w *= tol
+                within = np.count_nonzero(np.less_equal(rs, w, out=f)) == m
+                np.multiply(w, t, out=rs)
+                for r in slackness:
+                    within = within and np.count_nonzero(np.less_equal(r, rs, out=f)) == m
+                for (_, _, _, sign), g, _ in pairs:
+                    g *= sign
+                    within = within and np.count_nonzero(np.less_equal(g, w, out=f)) == m
+        total = float(np.add.reduce(x))
     if check:
         for count, message in zip(misfits, _MISFITS):
             if count:
@@ -286,7 +292,7 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
             raise InconsistentCandidateError("candidate leaves [0, cap] in its claimed interior")
     lower = float(_max(0.0, -x_min))
     upper = float(_max(0.0, x_max - t))
-    ssum = abs(float(np.add.reduce(x)) - inp.s)
+    ssum = abs(total - inp.s)
     passed = (
         within and lower <= tol * t and upper <= tol * t and ssum <= tol * max(t, inp.s)
     )
@@ -325,16 +331,15 @@ def certify(
     there, and gamma is estimated from the others.  Given gamma, a
     coordinate stays pinned only where the multiplier it forces is
     nonnegative: at 0 if ``y + gamma <= 0``, at the cap if
-    ``y + gamma >= t``.  Every other coordinate is judged as interior, by
+    ``y + gamma >= t``; the residual pass applies this as it forms the
+    multipliers.  Every other coordinate is judged as interior, by
     stationarity, so the dual residual is 0 by construction.  Every residual
     is measured at tolerance tol in the same pass as ``certify_result``.
     """
     x = _candidate(inp, x)
-    zero, one = _classify(x, inp.t)
+    slack = _slack(inp.t)  # t - slack > slack for every cap: the masks never overlap
+    zero, one = x <= slack, x >= inp.t - slack
     gamma = _estimate_gamma(inp.y, x, inp.t, zero, one)
-    shifted = inp.y + gamma
-    zero &= shifted <= 0.0
-    one &= shifted >= inp.t
     sizes = np.count_nonzero(zero), np.count_nonzero(one)
     report = _measure(inp, x, gamma, zero, one, tol, check=False, sizes=sizes)
     return KktCertificate(inp.y, gamma, zero, one, inp.t), report

@@ -197,8 +197,7 @@ def _degenerate_gamma(ys: np.ndarray, a: int, t: float) -> float:
 # probes per block edge placed by a Newton step before bisection takes over
 _GUIDED = 6
 
-# entries per block: of the sums the kink search keeps, of the re-centering
-# pass, and of the certificate pass in kkt
+# entries per block: of the sums the kink search keeps and of kkt's certificate pass
 _BLOCK = 1 << 14
 
 
@@ -512,17 +511,6 @@ def _sum_rounding(d: int, total: float) -> float:
     return (d.bit_length() + 20) * 2.0**-53 * total
 
 
-def _add_free(x: np.ndarray, at_zero: np.ndarray, at_cap: np.ndarray, c: float) -> None:
-    # x += c on the coordinates in neither mask, _BLOCK entries at a time:
-    # the free mask and its product are formed per block, because as whole
-    # arrays they would cost more in page faults than the sum itself
-    free = np.empty(min(x.size, _BLOCK), dtype=bool)
-    for i in range(0, x.size, _BLOCK):
-        j = min(i + _BLOCK, x.size)
-        f = np.logical_or(at_zero[i:j], at_cap[i:j], out=free[: j - i])
-        x[i:j] += np.logical_not(f, out=f) * c
-
-
 def _assemble(
     y: np.ndarray, ys: np.ndarray, p: Partition, gamma: float, s: float, t: float, edges
 ) -> ProjectionResult:
@@ -563,12 +551,15 @@ def _assemble(
         # rounding of the sum that measured it (_sum_rounding): a miss within
         # that is noise, and adding it to every interior value only adds
         # rounding.  A systematic miss, from a shift rounded at the scale of
-        # a large y, is corrected.  The interior is read off the two masks a
-        # block at a time, so no third mask of D bytes is built.
+        # a large y, is corrected: x is shifted in place and its blocks are
+        # written back to exactly 0 and t by mask, as on a rounding tie.  A
+        # shift that is not finite leaves gamma so, which the sign tests refuse.
         total = float(x.sum())
         if abs(s - total) > _sum_rounding(d, total):
             delta = (s - total) / (b - a)
-            _add_free(x, at_zero, at_cap, delta)
+            x += delta
+            np.putmask(x, at_zero, 0.0)
+            np.putmask(x, at_cap, t)
             gamma += delta
     else:
         x = at_cap * t

@@ -171,6 +171,19 @@ class TestVerify:
         assert code == 0
         assert "passed true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_a_non_finite_candidate_fails_with_nothing_on_stderr(
+        self, vec_file, tmp_path, capsys, bad
+    ):
+        # the pass meets 0 * inf; the report shows it, and no warning is
+        # printed (the suite turns one into an error)
+        x = tmp_path / "x.txt"
+        x.write_text(f"0.75\n{bad}\n1\n")
+        code = cli_dispatch(["verify", "--s", "2", "--input", str(x), "--against", vec_file])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert "passed false" in captured.out
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_bad_tol_exits_3(self, vec_file, tmp_path, capsys, tol):
         out = tmp_path / "x.txt"

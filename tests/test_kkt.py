@@ -542,6 +542,27 @@ def _certify_reference_bits(inp, x, gamma):
     return _reference_bits(inp, x, alpha, beta, gamma)
 
 
+def _certify_reference(inp, x):
+    # certify as whole-array expressions: the masks within the slack of each
+    # bound, gamma from the interior (or the pinned groups' interval), then
+    # each mask kept only where its multiplier is nonnegative; the masks
+    # before and after that step, gamma, alpha and beta
+    y, t = inp.y, inp.t
+    ctol = 1e-7 * min(1.0, t)
+    zero, one = x <= ctol, x >= t - ctol
+    free = ~(zero | one)
+    if free.any():
+        gamma = float(np.mean(x[free] - y[free]))
+    elif not one.any():
+        gamma = -float(y[zero].max())
+    else:
+        lower = t - float(y[one].min())
+        gamma = 0.5 * (lower - float(y[zero].max())) if zero.any() else lower
+    shifted = y + gamma
+    kept = zero & (shifted <= 0.0), one & (shifted >= t)
+    return (zero, one), kept, gamma, *_reference_multipliers(y, gamma, *kept, t)
+
+
 def _report_bits(report):
     return _bits(
         (
@@ -625,6 +646,45 @@ class TestBlockEdges:
         assert report.dual_residual == 0.0
         assert report.stationarity_residual >= 0.1 and not report.passed
         assert cert.alpha.tobytes() == alpha.tobytes()
+
+    @pytest.mark.parametrize(
+        "candidate",
+        ["exact", "within slack", "perturbed", "nan", "inf", "-inf", 5e-324, 1e-300, 1e-9, 1e6],
+    )
+    def test_certify_refines_its_blocks_as_the_whole_array_formulas(self, edge_case, candidate):
+        # the pass keeps a coordinate in its block only where its multiplier
+        # is nonnegative.  "within slack" moves two interior entries of each
+        # kind (one in a full block, one in the partial last block) within
+        # the slack of 0 and of the cap, where the pass must take them out of
+        # the block again; NaN and inf go to an interior and a pinned entry
+        # of that candidate, and a number is a cap the instance is scaled to
+        # (at 5e-324 the solver refuses it, so x pins each coordinate by the
+        # sign of y).  No errstate: a NaN or an inf must not warn.
+        inp, res = edge_case
+        x = res.x.copy()
+        if isinstance(candidate, float):
+            t = candidate
+            inp = ProjectionInput(inp.y * t, inp.s * t, t)
+            x = np.where(inp.y > 0.0, t, 0.0) if t < 1e-323 else project_capped_box(inp).x
+        t = inp.t
+        if candidate == "perturbed":
+            x += 1e-7 * t * np.random.default_rng(5).standard_normal(x.size)
+        elif candidate != "exact":
+            free, ctol = np.flatnonzero(~(res.at_zero | res.at_cap)), 1e-7 * min(1.0, t)
+            x[free[[0, -2]]] = 0.3 * ctol
+            x[free[[1, -1]]] = t - 0.3 * ctol
+            if candidate in ("nan", "inf", "-inf"):
+                x[[free[2], np.flatnonzero(res.at_cap)[-1]]] = float(candidate)
+        cert, report = certify(inp, x)
+        claimed, kept, gamma, alpha, beta = _certify_reference(inp, x)
+        assert float(cert.gamma).hex() == float(gamma).hex()
+        assert cert.alpha.tobytes() == alpha.tobytes()
+        assert cert.beta.tobytes() == beta.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):  # inf meets 0 in the formulas
+            assert _report_bits(report) == _reference_bits(inp, x, alpha, beta, gamma)
+        if candidate not in ("exact", "perturbed", 5e-324):
+            # entries left both blocks
+            assert all(np.count_nonzero(k) < np.count_nonzero(c) for c, k in zip(claimed, kept))
 
     def test_a_fine_look_in_an_early_block_leaves_a_later_violation_standing(self):
         # y[7] = 1e10 sits at the cap in block 0, where stationarity rounds
@@ -751,9 +811,9 @@ def test_the_on_bound_skip_leaves_every_report_bit(monkeypatch, d):
     cases += [(res.x, g) for g in (np.nan, np.inf, -np.inf, 1e308)]
     on_bound, skipped = kkt._on_bound, []
     monkeypatch.setattr(kkt, "_on_bound", lambda *args: skipped.append(on_bound(*args)) or skipped[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # inf meets 0, as in the formulas
-        fast = [_reports(inp, res, x, g) for x, g in cases]
-        assert sum(skipped) >= 2 * -(-d // (1 << 14))  # both sides of every block of res.x
-        monkeypatch.setattr(kkt, "_on_bound", lambda *args: False)
-        assert [_reports(inp, res, x, g) for x, g in cases] == fast
+    # no errstate: where inf meets 0 the pass must not warn
+    fast = [_reports(inp, res, x, g) for x, g in cases]
+    assert sum(skipped) >= 2 * -(-d // (1 << 14))  # both sides of every block of res.x
+    monkeypatch.setattr(kkt, "_on_bound", lambda *args: False)
+    assert [_reports(inp, res, x, g) for x, g in cases] == fast
     assert fast[0][0][1] and fast[0][1][1]  # the exact answer passes both

@@ -814,18 +814,39 @@ def _mask_product_assembly(y, s, t, p):
 
 
 @pytest.fixture
-def putmask_calls(monkeypatch):
-    # counts the assembly's mask writes, which only a rounding tie at a
-    # block edge takes instead of the clip
-    calls = [0]
-    putmask = np.putmask
+def mask_writes(monkeypatch):
+    # the assembly's mask writes, told apart by the test of the sum that
+    # comes between them: before it, a rounding tie at a block edge writes
+    # the blocks instead of the clip ("tie"); after it, a re-centering writes
+    # them back once it has shifted all of x ("recentering").  "totals" holds
+    # each sum the assembly tested, the sum a re-centering corrects.  Calls
+    # from outside the assembly are not counted.
+    writes = {"tie": 0, "recentering": 0, "totals": []}
+    assemble, sum_rounding, putmask = projection._assemble, projection._sum_rounding, np.putmask
+    step = [None]
+
+    def assembling(*args):
+        step[0] = "tie"
+        try:
+            return assemble(*args)
+        finally:
+            step[0] = None
+
+    def testing_the_sum(d, total):
+        if step[0]:
+            step[0] = "recentering"
+            writes["totals"].append(total)
+        return sum_rounding(d, total)
 
     def counted(*args):
-        calls[0] += 1
+        if step[0]:
+            writes[step[0]] += 1
         return putmask(*args)
 
+    monkeypatch.setattr(projection, "_assemble", assembling)
+    monkeypatch.setattr(projection, "_sum_rounding", testing_the_sum)
     monkeypatch.setattr(np, "putmask", counted)
-    return calls
+    return writes
 
 
 def _assert_assembly_bits(y, s, t):
@@ -846,24 +867,26 @@ _TIE_Y += [0.125, -0.375, 0.125, 0.875, 0.5, -0.25, -0.25, 0.0, 0.625, -0.375]
 
 
 @pytest.mark.parametrize("s, writes", [(14 * (1 / 3), 2), (14 / 3, 0)])
-def test_a_rounding_tie_at_the_cap_writes_the_blocks_by_mask(putmask_calls, s, writes):
+def test_a_rounding_tie_at_the_cap_writes_the_blocks_by_mask(mask_writes, s, writes):
     _assert_assembly_bits(_TIE_Y, s, 1 / 3)
-    assert putmask_calls[0] == writes
+    assert mask_writes["tie"] == writes
 
 
-def test_the_clip_gives_the_bits_of_the_mask_product(putmask_calls):
+def test_the_clip_gives_the_bits_of_the_mask_product(mask_writes):
     # every block pattern (both blocks, no cap block, no zero block,
-    # neither) on plain values, which take the clip
+    # neither) on plain values, which take the clip; the few that are
+    # re-centered write the blocks back by mask, after the clip
     rng = np.random.default_rng(77)
     for t in (1.0, 0.3, 7.3):
         for d in (1, 2, 5, 64, 4096, 2**14 + 3):
             y = rng.uniform(-2.0, 2.0, d) * t
             for s in (0.1 * t, 0.5 * t * d, t * (d - 0.1), float(np.clip(y, 0.0, t).sum())):
                 _assert_assembly_bits(y, s, t)
-    assert putmask_calls[0] == 0
+    assert mask_writes["tie"] == 0
+    assert mask_writes["recentering"] > 0
 
 
-def test_the_mask_writes_give_the_bits_of_the_mask_product(putmask_calls):
+def test_the_mask_writes_give_the_bits_of_the_mask_product(mask_writes):
     # y and s on a grid of t/8 for caps that are not powers of 2, where an
     # edge value now and then rounds to the wrong side of 0 or the cap
     rng = np.random.default_rng(78)
@@ -873,7 +896,7 @@ def test_the_mask_writes_give_the_bits_of_the_mask_product(putmask_calls):
         y = rng.integers(-8, 9, d) * t / 8.0
         s = min(t * d, t * float(rng.integers(0, 8 * d + 1)) / 8.0)
         _assert_assembly_bits(y, s, t)
-    assert putmask_calls[0] > 0
+    assert mask_writes["tie"] > 0
 
 
 @pytest.mark.parametrize(
@@ -1067,59 +1090,61 @@ def test_general_cap_matches_rescaled_oracle(inst):
     assert certify_result(inp, res)[1].passed
 
 
-@pytest.fixture
-def recenterings(monkeypatch):
-    # the shifts the assembly adds to the interior, one per re-centering
-    adds, add_free = [], projection._add_free
-    monkeypatch.setattr(projection, "_add_free", lambda *args: adds.append(args[-1]) or add_free(*args))
-    return adds
+def _recentered(mask_writes, s, x):
+    # whether the solve that gave x re-centered it, and moved its sum toward
+    # s; the counts start afresh for the next solve
+    totals, writes = mask_writes["totals"], mask_writes["recentering"]
+    assert len(totals) == 1 and writes in (0, 2)
+    if writes:
+        assert abs(s - float(x.sum())) < abs(s - totals[0])
+    totals.clear()
+    mask_writes["recentering"] = 0
+    return bool(writes)
 
 
 @pytest.mark.parametrize("d", [64, 4096, (1 << 18) + 3, 1_000_000])
-def test_the_interior_is_re_centered_only_past_the_sums_rounding(recenterings, d):
+def test_the_interior_is_re_centered_only_past_the_sums_rounding(mask_writes, d):
     # a miss of s within the rounding of x.sum() is left as it is, so the
     # exact sum of x is within twice that bound of s; y offset by 1e9 rounds
     # the shift at that scale, a systematic miss that is re-centered
-    adds = recenterings
     rng = np.random.default_rng(d)
     y = rng.random(d) - 0.5
     skipped = 0
     for u in (0.1, 0.37, 0.5, 0.83):
-        adds.clear()
         inp = ProjectionInput(y, u * d)
         res = project_capped_box(inp)
         total = float(res.x.sum())
         bound = projection._sum_rounding(d, total)
         assert abs(total - math.fsum(res.x)) <= bound
-        if not adds:
+        if not _recentered(mask_writes, inp.s, res.x):
             skipped += 1
             assert abs(inp.s - total) <= bound
             assert abs(inp.s - math.fsum(res.x)) <= 2.0 * bound
-        adds.clear()
         inp = ProjectionInput(y + 1e9, u * d)
         res = project_capped_box(inp)
-        assert len(adds) == 1 and adds[0] != 0.0
+        assert _recentered(mask_writes, inp.s, res.x)
         assert certify_result(inp, res)[1].passed
     assert skipped
 
 
-def test_solve_peak_memory_stays_under_two_arrays(recenterings):
+def test_solve_peak_memory_stays_under_two_arrays(mask_writes):
     # the sorted copy is the one array of D doubles a solve allocates: x is
     # built in its buffer.  Beside it the solve holds the two masks (D bytes
-    # each), and the re-centering a free mask and its product for one block
-    # of 2^14 entries (9 bytes each) while numpy casts the mask through its
-    # buffer of 8192 doubles; 2^14 bytes more cover small objects.  A
-    # whole-array free mask (two more arrays of D bytes) would pass this
-    # bound, and so would a second array of D doubles.  Both blocks are
-    # present and the re-centering runs: y is offset by 1e6, so the interior
-    # sum that gives the shift rounds at that scale, and x misses s by far
-    # more than the rounding of its own sum.
+    # each); the re-centering shifts x in place and writes the blocks back
+    # through the masks, so it adds nothing of size D.  The bound also
+    # leaves room for a free mask and its product per block of 2^14 entries
+    # (9 bytes each) and numpy's cast buffer of 8192 doubles, which the
+    # solve does not use; 2^14 bytes more cover small objects.  A second
+    # array of D doubles would not pass it.  Both blocks are present and the
+    # re-centering runs: y is offset by 1e6, so the interior sum that gives
+    # the shift rounds at that scale, and x misses s by far more than the
+    # rounding of its own sum.
     d = 1 << 18
     y = np.random.default_rng(0).random(d) * 2.0 - 1.0 + 1e6
     inp = ProjectionInput(y, 0.3 * d)
     res = project_capped_box(inp)
     assert 0 < res.partition.a < res.partition.b < d
-    assert len(recenterings) == 1 and recenterings[0] != 0.0
+    assert _recentered(mask_writes, inp.s, res.x)
     tracemalloc.start()
     try:
         project_capped_box(inp)
