@@ -25,9 +25,9 @@ the whole of x.  A side with no coordinate is skipped: its g is +-0 on
 every entry and moves no residual.  In a block where x sits exactly on the
 side's bound at every coordinate of its mask, the side skips its
 complementary-slackness terms and its misfit count: each product is g
-times +-0.  Both skips apply while x and gamma are finite and
-``y + gamma - t`` cannot overflow; otherwise both sides run every term,
-and a NaN or an inf shows in the report as in the whole-array formulas.
+times +-0.  Both skips apply while neither ``x - y`` nor ``y + gamma - t``
+can overflow; otherwise both sides run every term, and a NaN or an inf
+shows in the report as in the whole-array formulas.
 ``certify_result`` forces the multipliers on the blocks the solver reports,
 ``certify`` on blocks it reads off the candidate and the pass narrows to
 nonnegative multipliers.  No array of the size of y is built: a
@@ -46,7 +46,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InconsistentCandidateError, InvalidInputError
-from .projection import _BLOCK, ProjectionInput, ProjectionResult, _reals
+from .projection import _BLOCK, ProjectionInput, ProjectionResult, _degenerate_gamma, _reals
 
 DEFAULT_TOL = 1e-8
 
@@ -188,22 +188,24 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     on every coordinate of its mask has ``g * (x - bound) = +-0`` on every
     entry, and no misfit, so its complementary-slackness terms and misfit
     count are skipped for that block (``_on_bound``).  Both hold while
-    nothing a side meets can overflow: x finite, and ``y + gamma`` and
-    ``y + gamma - t`` finite for every finite y, which also keeps ``x - t``
-    finite.  Otherwise both sides run every term, so a NaN or an inf
-    reaches the report as in the whole-array formulas, with numpy's
-    warnings off (0 * inf).  Stationarity's largest term ``|rs - gamma|``,
-    with ``rs = x - y + g`` summed over the sides, is
-    ``max(max(rs) - gamma, gamma - min(rs))``, exact since ``fl(v - gamma)``
-    is monotone in v; the terms are formed only where the per-coordinate
-    rule runs.
+    nothing the pass forms can overflow (``exact``): ``y + gamma``,
+    ``y + gamma - t`` and, at x's extremes, ``x - y`` are finite at
+    ``y = +-_BIG``, so at every finite y, and then so is ``x - t``; they are
+    tested as Python floats, which overflow without a warning.  Otherwise
+    both sides run every term, so a NaN or an inf reaches the report as in
+    the whole-array formulas, with numpy's warnings off (0 * inf).
+    Stationarity's largest term ``|rs - gamma|``, with ``rs = x - y + g``
+    summed over the sides, is ``max(max(rs) - gamma, gamma - min(rs))``,
+    exact since ``fl(v - gamma)`` is monotone in v; the terms are formed
+    only where the per-coordinate rule runs.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
     y, t = inp.y, inp.t
     d = y.size
     x_min, x_max = np.minimum.reduce(x), np.maximum.reduce(x)
-    exact = all(map(math.isfinite, (gamma + _BIG, gamma - _BIG - t, x_min, x_max)))
+    edges = gamma + _BIG, gamma - _BIG - t, float(x_min) - _BIG, float(x_max) + _BIG
+    exact = all(map(math.isfinite, edges))
     # each side as (index in _MISFITS, which mask, bound, sign)
     sides = ((1, 0, 0.0, 1.0), (2, 1, t, -1.0))
     if exact:
@@ -310,15 +312,13 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
 def _estimate_gamma(y, x, cap, zero, one):
     # stationarity on interior coordinates reads x = y + gamma; average the
     # per-coordinate estimates (sum / count is np.mean without its overhead),
-    # or fall back to the pinned groups' interval, which the all-pinned
-    # candidate always has an end of
-    shifts = (x - y)[~(zero | one)]
-    if shifts.size:
-        return float(shifts.sum() / shifts.size)
-    if not one.any():
-        return -float(y[zero].max())
-    lower = cap - float(y[one].min())
-    return 0.5 * (lower - float(y[zero].max())) if zero.any() else lower
+    # or take the all-pinned candidate's shift as the solver does.  x - y of
+    # a finite candidate may overflow: it reads inf, which the pass reports
+    with np.errstate(over="ignore"):
+        shifts = (x - y)[~(zero | one)]
+        if shifts.size:
+            return float(shifts.sum() / shifts.size)
+    return _degenerate_gamma(y[zero], y[one], cap)
 
 
 def certify(

@@ -57,11 +57,11 @@ def _vector(y) -> np.ndarray:
     if y.ndim != 1 or y.size < 1:
         raise InvalidInputError("y must be a one-dimensional vector with D >= 1")
     y = np.ascontiguousarray(y)
-    # y @ y, one BLAS pass, is finite exactly when every entry is, unless it
-    # overflows; only then is each entry tested
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (math.isfinite(y @ y) or np.isfinite(y).all()):
-            raise InvalidInputError("y contains non-finite entries")
+    # y . y, one BLAS pass, is finite exactly when every entry is, unless it
+    # overflows; only then is each entry tested.  vdot, unlike y @ y, reads
+    # an overflow or a NaN as inf or NaN without a warning
+    if not (math.isfinite(np.vdot(y, y)) or np.isfinite(y).all()):
+        raise InvalidInputError("y contains non-finite entries")
     return y
 
 
@@ -184,14 +184,15 @@ def boundary_case_holds(ys: np.ndarray, a: int, s: float, eps: float, t: float =
     return abs(s - t * (d - a)) <= eps and (not 0 < a < d or ys[a] - ys[a - 1] >= t - eps)
 
 
-def _degenerate_gamma(ys: np.ndarray, a: int, t: float) -> float:
-    # Any value in [t - y_{a+1}, -y_a] gives nonnegative multipliers; report
-    # the midpoint, or the finite endpoint when one side is unbounded.
-    if a == 0:
-        return t - ys[0]
-    if a == ys.size:
-        return -ys[-1]
-    return 0.5 * ((t - ys[a]) - ys[a - 1])
+def _degenerate_gamma(zeros: np.ndarray, caps: np.ndarray, t: float) -> float:
+    # Any value in [t - min(caps), -max(zeros)], caps and zeros the y values
+    # of the two blocks, gives nonnegative multipliers; report the midpoint,
+    # or the finite end when one block is empty (both never are).
+    if not zeros.size:
+        return t - float(caps.min())
+    if not caps.size:
+        return -float(zeros.max())
+    return 0.5 * ((t - float(caps.min())) - float(zeros.max()))
 
 
 # probes per block edge placed by a Newton step before bisection takes over
@@ -338,8 +339,8 @@ def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
         sums = _block_sums(ys)
         a, guess = _block_edge(ys, sums, s, t, False, 0, (s - _sum(ys, sums, 0, d)) / d, wins)
         b, _ = _block_edge(ys, sums, s, t, True, a, guess, wins)
-    if a == b:
-        return a, a, _degenerate_gamma(ys, a, t)
+    if a == b:  # the sorted neighbours of a: the largest zero, the smallest cap
+        return a, a, _degenerate_gamma(ys[max(a - 1, 0) : a], ys[a : a + 1], t)
     return a, b, (s - t * (d - b) - _sum(ys, sums, a, b)) / (b - a)
 
 
@@ -379,13 +380,12 @@ def _cut(ys: np.ndarray, lo: int, hi: int, cuts) -> None:
     # the rest from c on.  A cut more than 2 from both ends takes one
     # single-kth partition of the range still open (numpy's partition with
     # several kth costs more than a whole sort), the cut that leaves the
-    # least to partition after it first.  A cut within 2 of an end comes
-    # last, on the smallest range, and takes an argmin (or an argmax) and a
-    # swap per position.
+    # least to partition after it first.  A cut within 2 of an end costs no
+    # partition: it comes last, on the smallest range, and takes an argmin
+    # (or an argmax) and a swap per position.
     inner = [k for k, c in enumerate(cuts) if c - lo > 2 and hi - c > 2]
     if inner:
-        n = len(cuts)
-        k = min(inner, key=lambda k: (k > 0) * (cuts[k] - lo) + (k < n - 1) * (hi - cuts[k]))
+        k = min(inner, key=lambda k: (k > inner[0]) * (cuts[k] - lo) + (k < inner[-1]) * (hi - cuts[k]))
         ys[lo:hi].partition(cuts[k] - lo)
         _cut(ys, lo, cuts[k], cuts[:k])
         _cut(ys, cuts[k], hi, cuts[k + 1 :])
@@ -408,10 +408,11 @@ def _windows(ys: np.ndarray, s: float, t: float):
     moves and solved by the kink search at ``s*m/D``, predicts the shift,
     with the standard error of the sample's sum over the slope of f:
     ``sqrt(m) * sd / n``, ``sd`` the spread of ``clip(sample + shift, 0, t)``
-    and ``n`` the sample's interior.  The minimum and the maximum go to the ends of ys.  Each
-    edge's window holds its kinks for a shift within ``_Z`` standard errors
-    (``_around``), at the positions the sample gives them widened by ``_Z``
-    standard errors of its counts (``_positions``); where every such shift
+    and ``n`` the sample's interior; with no interior the error is 0.  The
+    minimum and the maximum go to the ends of ys.  Each edge's window holds its
+    kinks for a shift within ``_Z`` standard errors (``_around``), at the
+    positions the sample gives them widened by ``_Z`` standard errors of
+    its counts (``_positions``); where every such shift
     puts the edge at an end of y, the window is that extreme, with the value
     next to it or its ties sorted too.  A probe at an edge's kink ``y_k``
     also ranks ``y_k + t`` (zero edge) or ``y_k - t`` (cap edge), so the
@@ -421,8 +422,8 @@ def _windows(ys: np.ndarray, s: float, t: float):
 
     The sample only places the windows: whether they hold the answer is
     decided by the search, which raises ``_Miss`` when they do not.  Up to
-    D = 2^14, or with a sample of no interior or a shift that is not
-    finite, ys is sorted throughout and None, the widest window, returned.
+    D = 2^14, or with a shift that is not finite, ys is sorted throughout
+    and None, the widest window, returned.
     """
     d = ys.size
     if d <= _BLOCK:
@@ -436,13 +437,11 @@ def _windows(ys: np.ndarray, s: float, t: float):
     z = sample[a:b] + g
     top = t * (m - b)
     var = (t * top + float(z @ z)) / m - ((top + float(z.sum())) / m) ** 2
-    e = _Z * math.sqrt(m * max(var, 0.0)) / (b - a) if b > a else math.inf
+    e = _Z * math.sqrt(m * max(var, 0.0)) / (b - a) if b > a else 0.0
     if not math.isfinite(g + e):
         ys.sort()
         return None
-    for k, extreme in ((0, ys.argmin), (d - 1, ys.argmax)):
-        j = extreme()
-        ys[k], ys[j] = ys[j], ys[k]
+    _cut(ys, 0, d, [1, d - 1])
     low, high = ys.item(0), ys.item(-1)
     spans, windows = [(0, 1), (d - 1, d)], []
     for cap, (lo_v, hi_v) in enumerate(((-(g + e), -(g - e)), (t - g - e, t - g + e))):

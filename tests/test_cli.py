@@ -184,6 +184,19 @@ class TestVerify:
         assert code == 1 and captured.err == ""
         assert "passed false" in captured.out
 
+    def test_a_finite_candidate_that_overflows_against_y_fails_with_nothing_on_stderr(
+        self, tmp_path, capsys
+    ):
+        # x - y overflows to inf on the first coordinate; the report shows
+        # it, and no numpy warning is printed
+        x, y = tmp_path / "x.txt", tmp_path / "y.txt"
+        write_vector(x, [1.7e308, 0.5, 0.5])
+        write_vector(y, [-1.7e308, 0.5, 0.2])
+        code = cli_dispatch(["verify", "--s", "1", "--input", str(x), "--against", str(y)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert "passed false" in captured.out
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_bad_tol_exits_3(self, vec_file, tmp_path, capsys, tol):
         out = tmp_path / "x.txt"

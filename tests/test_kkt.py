@@ -280,6 +280,26 @@ class TestCertify:
         _, report = certify(inp, np.ones(3))
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "y, t, x",
+        [
+            ([-1.7e308, 0.5, 0.2], 1.0, [1.7e308, 0.5, 0.5]),
+            ([-1e308, 0.5, 0.2], 1e308, [1e308, 0.5, 0.5]),
+        ],
+    )
+    def test_a_finite_candidate_that_overflows_against_y_does_not_warn(self, y, t, x):
+        # x - y overflows to inf on the first coordinate, in the estimate of
+        # gamma and in the pass; the report shows it, with no warning (the
+        # suite turns one into an error)
+        inp, x = ProjectionInput(y, 1.0, t), np.array(x)
+        cert, report = certify(inp, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, gamma, alpha, beta = _certify_reference(inp, x)
+            want = _reference_bits(inp, x, alpha, beta, gamma)
+        assert float(cert.gamma).hex() == float(gamma).hex()
+        assert _report_bits(report) == want
+        assert not report.passed
+
     def test_flags_a_wrong_candidate(self):
         inp = ProjectionInput(np.array([0.3, -0.2, 1.5]), 2.0)
         x = np.array([0.5, 0.5, 1.0])
@@ -685,6 +705,28 @@ class TestBlockEdges:
         if candidate not in ("exact", "perturbed", 5e-324):
             # entries left both blocks
             assert all(np.count_nonzero(k) < np.count_nonzero(c) for c, k in zip(claimed, kept))
+
+    @pytest.mark.parametrize("d", [3, 64, 5000])
+    @pytest.mark.parametrize("blocks", ["zero", "cap", "both"])
+    def test_all_pinned_candidates_match_the_whole_array_formulas(self, d, blocks):
+        # no interior: gamma is the midpoint of the pinned groups' interval,
+        # or its finite end when one block is empty.  The two groups of y lie
+        # more than t apart, so each candidate is the exact answer
+        y = np.random.default_rng(d).standard_normal(d)
+        y[:2] = -0.5, 0.5
+        y += np.where(y > 0.0, 1.0, -1.0)
+        t = 0.5
+        x = {"zero": np.zeros(d), "cap": np.full(d, t), "both": np.where(y > 0.0, t, 0.0)}[blocks]
+        inp = ProjectionInput(y, float(x.sum()), t)
+        cert, report = certify(inp, x)
+        _, kept, gamma, alpha, beta = _certify_reference(inp, x)
+        # every coordinate keeps its block: its multiplier is nonnegative
+        assert [k.tobytes() for k in kept] == [(x == 0.0).tobytes(), (x == t).tobytes()]
+        assert float(cert.gamma).hex() == float(gamma).hex()
+        assert cert.alpha.tobytes() == alpha.tobytes()
+        assert cert.beta.tobytes() == beta.tobytes()
+        assert _report_bits(report) == _reference_bits(inp, x, alpha, beta, gamma)
+        assert report.passed
 
     def test_a_fine_look_in_an_early_block_leaves_a_later_violation_standing(self):
         # y[7] = 1e10 sits at the cap in block 0, where stationarity rounds

@@ -95,7 +95,7 @@ def test_every_entry_point_refuses_a_bad_vector(entry, y, message):
 
 @pytest.mark.parametrize("d", [2, 4096, (1 << 18) + 3])
 def test_a_finite_vector_whose_square_overflows_is_accepted(d):
-    # y @ y is inf here, so the check falls back to testing each entry;
+    # y . y is inf here, so the check falls back to testing each entry;
     # a non-finite entry anywhere is still refused
     y = np.full(d, 1.0)
     y[0] = 1e200
@@ -497,7 +497,7 @@ def test_block_sums_keep_the_split_of_two_bisections(f_calls, d):
             if a < b:
                 _assert_shift_solves_the_sum(ys, s, t, a, b, gamma)
             else:
-                assert gamma == projection._degenerate_gamma(ys, a, t)
+                assert gamma == projection._degenerate_gamma(ys[:a], ys[a:], t)
 
 
 @pytest.fixture
@@ -541,6 +541,7 @@ def _window_cases(rng, d):
         ("edges at 0 and D", quarter, 0.5 * d, 1.0),
         ("cap edge at D", half, 0.2 * d, 1.0),
         ("s = 0", uniform, 0.0, 1.0),
+        ("s = 5e-324", uniform, 5e-324, 1.0),
         ("s = tD", uniform, 0.7 * d, 0.7),
         ("s a multiple of t", uniform, 0.3 * float(round(0.4 * d)), 0.3),
         # the all-pinned pretest reads y's two values of ranks D - s/t - 1
@@ -555,7 +556,9 @@ def test_windows_keep_the_split_of_two_bisections(searches, d):
     # its split is the one two bisections find on the whole sort, and its
     # shift solves the sum to within the rounding error of any order of
     # addition.  Most cases are answered from the windows; a tie group of
-    # the 1/8 grid is cut by a window's end, which the search reads exactly
+    # the 1/8 grid is cut by a window's end, which the search reads exactly.
+    # A degenerate target, whose sample has no interior, takes the windows
+    # like any other
     rng = np.random.default_rng(d)
     fell_back, cut = [], 0
     for label, y, s, t in _window_cases(rng, d):
@@ -566,8 +569,10 @@ def test_windows_keep_the_split_of_two_bisections(searches, d):
         if a < b:
             _assert_shift_solves_the_sum(ys, s, t, a, b, gamma)
         else:
-            assert gamma == projection._degenerate_gamma(ys, a, t), label
+            assert gamma == projection._degenerate_gamma(ys[:a], ys[a:], t), label
         wins = searches[1][1] if len(searches) > 1 else None
+        if label in ("s = 0", "s = 5e-324", "s = tD"):
+            assert wins and searches[1][0] == d, label
         if wins and "ties" in label:
             cut += any(0 < lo and ys[lo - 1] == ys[lo] for lo, _ in wins[0])
         if _fell_back(searches, d):
@@ -576,6 +581,29 @@ def test_windows_keep_the_split_of_two_bisections(searches, d):
             assert (a, b) == (0, d) and wins[1] == ((0, 1), (d - 1, d))
     assert cut, "no window end cut a tie group"
     assert len(fell_back) <= 1, fell_back
+
+
+def test_cut_partitions_first_where_least_is_left_to_partition(monkeypatch):
+    # cuts as a dense_cap solve places them: the one at 2 costs an argmin,
+    # not a partition, so the first partition goes at 235287 and leaves
+    # only [235287, D - 1) to partition; at 250666 it would leave [1, 250666)
+    d = 2**18
+    cuts = [2, 235287, 250666]
+    ys = np.random.default_rng(12).permutation(d).astype(float)
+    inner = ys[1:-1].copy()
+    calls, cut = [], projection._cut
+
+    def recorded(ys, lo, hi, cuts):
+        calls.append((lo, hi, list(cuts)))
+        cut(ys, lo, hi, cuts)
+
+    monkeypatch.setattr(projection, "_cut", recorded)
+    projection._cut(ys, 1, d - 1, cuts)
+    assert calls[1] == (1, cuts[1], cuts[:1]), calls
+    # each cut splits the distinct values of [1, D - 1) by rank
+    npt.assert_array_equal(np.sort(ys[1:-1]), np.sort(inner))
+    for c in cuts:
+        assert ys[1:c].max() < ys[c:-1].min(), c
 
 
 @pytest.mark.parametrize("d", [2**14 + 1, 100_000])
