@@ -6,27 +6,31 @@ of ``0.5*||x - y||^2`` over this set consists of ``a`` zeros, then interior
 values ``y_k + gamma``, then ``D - b`` entries at the cap.  The solver finds
 ``(a, b)`` among the kinks of the piecewise linear sum
 ``f(gamma) = sum(clip(y + gamma, 0, t))``, read in sorted order, probing
-where a Newton step on f predicts each edge: about 5 evaluations of f per
-solve, at most ``2*ceil(log2(D+1)) + 12``.  The search runs on a copy of y,
-sorted whole up to D = 2^14.  Above that a sample of about 4,096 values
-predicts the edges, and only a window around each (with the few other
-values the probes rank) is put in sorted place by in-place partitions and
-sorted (``_windows``).  Every rank is one binary search over the whole copy,
-trusted only where it is exact (``_f``).  A rank not trusted, or an edge
-outside its window, raises ``_Miss``: the rest of the copy is sorted and the
-same search runs again.  Each f sums the interior pairwise, in
-``O(log D + interior)`` up to D = 2^14; above that, from the sums of the
-whole blocks of 2^14 values of its buffer, taken once per search, plus the
-two fringes, in ``O(log D + 2^14 + D/2^14)``: a sum needs the values of its
-ranks, not their order.  The search returns the shift ``gamma`` with the
-split, solved from the sum constraint with the interior summed as f sums
-it, and the solver checks the split with the optimality sign tests.  They
-say the bound multipliers that stationarity forces on the split are
-nonnegative, so a split that passes them satisfies the full first-order
-system and is the minimizer.  A split that fails them raises instead of
-being returned.  The answer is ``y + gamma`` in the input order, clipped
-once to ``[0, t]``: a split never cuts a group of equal values, so each
-block is an exact comparison of y against one sorted value.
+where a Newton step on f predicts each edge.  Each probe of the zero edge
+also bounds the cap edge, so the cap edge searches only what the zero
+edge's probes left open: about 4 evaluations of f per solve, at most
+``2*ceil(log2(D+1)) + 12``.  The search runs on a copy of y, sorted whole
+up to D = 2^14.  Above that a sample of about 4,096 values predicts the
+edges, and only a window around each (with the few other values the probes
+rank) is put in sorted place by in-place partitions and sorted
+(``_windows``); at ``s = 0`` and ``s = t*D``, whose all-pinned answer reads
+only an extreme, only the two extremes are put in place.  Every rank is one
+binary search over the whole copy, trusted only where it is exact (``_f``).
+A rank not trusted, or an edge outside its window, raises ``_Miss``: the
+rest of the copy is sorted and the same search runs again.  Each f sums the
+interior pairwise, in ``O(log D + interior)`` up to D = 2^14; above that,
+from the sums of the whole blocks of 2^14 values of its buffer, taken once
+per search, plus the two fringes, in ``O(log D + 2^14 + D/2^14)``: a sum
+needs the values of its ranks, not their order.  The search returns the
+shift ``gamma`` with the split, solved from the sum constraint with the
+interior summed as f sums it (the very sum of a probe that summed it), and
+the solver checks the split with the optimality sign tests.  They say the
+bound multipliers that stationarity forces on the split are nonnegative, so
+a split that passes them satisfies the full first-order system and is the
+minimizer.  A split that fails them raises instead of being returned.  The
+answer is ``y + gamma`` in the input order, clipped once to ``[0, t]``: a
+split never cuts a group of equal values, so each block is an exact
+comparison of y against one sorted value.
 """
 
 from __future__ import annotations
@@ -231,13 +235,16 @@ class _Miss(Exception):
 
 
 def _f(ys: np.ndarray, sums, t: float, gamma: float, spans=None):
-    """``sum(clip(ys + gamma, 0, t))`` and its slope there.
+    """``sum(clip(ys + gamma, 0, t))``, the ranks of its interior's ends, and the interior's sum.
 
-    ``sums`` is ``_block_sums(ys)``.  The interior is summed by ``_sum``: in
+    Returns ``(f, lo, hi, part)``: the interior is ``ys[lo:hi]``, so the
+    slope of f is ``hi - lo``, the number of coordinates strictly between 0
+    and t, and ``hi`` is the number of ys below ``t - gamma`` (lo if that
+    is fewer).  ``part`` is
+    ``_sum(ys, sums, lo, hi)``, ``sums`` being ``_block_sums(ys)``: in
     ``O(log D + interior)`` when D <= 2^14, else in
     ``O(log D + 2^14 + D/2^14)`` after the one ``O(D)`` pass of the block
-    sums.  The slope is the number of coordinates strictly between 0 and t.
-    A coordinate with ``y + gamma == 0`` counts at zero even where
+    sums.  A coordinate with ``y + gamma == 0`` counts at zero even where
     ``t - gamma`` rounds to ``-gamma``, so the slope is never negative.
     The interior's ends are ranked by one ``searchsorted`` each over all of
     ys; when ys is sorted only in ``spans``, which reach both its ends, a
@@ -251,31 +258,57 @@ def _f(ys: np.ndarray, sums, t: float, gamma: float, spans=None):
     lo = int(ys.searchsorted(-gamma, side="right"))
     hi = int(ys.searchsorted(t - gamma, side="left"))
     for k in (lo, hi) if spans else ():
-        if 0 < k < ys.size and not any(i < k < j for i, j in spans):
+        if not _trusted(spans, k, ys.size):
             raise _Miss
     hi = max(lo, hi)
-    return t * (ys.size - hi) + _sum(ys, sums, lo, hi) + (hi - lo) * gamma, hi - lo
+    part = _sum(ys, sums, lo, hi)
+    return t * (ys.size - hi) + part + (hi - lo) * gamma, lo, hi, part
 
 
-def _block_edge(ys, sums, s, t, cap, lo, guess, wins):
-    """First k >= lo whose edge test holds (D if none), and the last shift predicted.
+def _trusted(spans, k: int, d: int) -> bool:
+    # whether a rank k that a searchsorted over ys returned is exact: at an
+    # end of ys, or strictly inside a sorted span (_f), or ys sorted
+    return spans is None or not 0 < k < d or any(i < k < j for i, j in spans)
 
-    The zero edge (``cap`` False) tests ``f(-y_k) < s``, the cap edge
-    ``f(t - y_k) <= s``; in k both read False, ..., False, True, ....  Up to
-    ``_GUIDED`` probes go to the kink of the shift ``guess``, clamped into
-    the bracket still open.  A probe at kink ``gamma`` updates the guess by a
-    Newton step, ``gamma + (s - f)/slope``, which lands on the solution once
-    no kink lies between them.  A probe with no usable guess (NaN on a flat
-    piece of f, or a shift that overflowed) bisects, and so does every probe
-    after the guided ones.  When ys is sorted only in parts, ``wins`` is
-    ``(spans, windows)``: f trusts only ranks in the sorted spans, and the
-    bracket is the part of the edge's sorted window ``windows[cap]`` from
-    lo on.  An answer on an end of that window, other than lo or D, raises
-    ``_Miss``: the test one kink beyond it was never read.
+
+def _block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
+    """First k in [lo, hi) whose edge test holds (hi if none), the last shift predicted, and b's bracket.
+
+    The caller knows the edge lies in ``[lo, hi]``.  The zero edge
+    (``cap`` False) tests ``f(-y_k) < s``, the cap edge ``f(t - y_k) <= s``;
+    in k both read False, ..., False, True, ....  Up to ``_GUIDED`` probes
+    go to the kink of the shift ``guess``, clamped into the bracket still
+    open.  A probe at kink ``gamma`` updates the guess by a Newton step,
+    ``gamma + (s - f)/slope``, which lands on the solution once no kink lies
+    between them.  A probe with no usable guess (NaN on a flat piece of f,
+    or a shift that overflowed) bisects, and so does every probe after the
+    guided ones.
+
+    Each probe of the zero edge also bounds the cap edge b, since f is
+    nondecreasing: with ``f(gamma) > s`` every cap kink ``t - y_k >= gamma``
+    fails the cap test, and with ``f(gamma) <= s`` every one ``<= gamma``
+    passes it.  The rank of ``t - gamma`` that f took puts the bound, read
+    in the probe's own arithmetic: an upper bound steps past the values
+    whose kink ``t - y_k`` rounds above gamma, and is dropped where a step
+    leaves the sorted spans.  A few compares per probe; no evaluation of f.
+    The third value returned is ``(below, above)``: b lies in
+    ``[max(a, below), max(a, above)]``; the cap edge's own probes leave it
+    ``(0, D)``.  ``kept`` holds the ``(lo, hi, part)`` of f's last probe per
+    edge and outcome, at ``kept[2*cap + passed]``.
+
+    When ys is sorted only in parts, ``wins`` is ``(spans, windows)``: f
+    trusts only ranks in the sorted spans, and the probes go to the part of
+    the edge's sorted window ``windows[cap]`` inside ``[lo, hi)``.  An
+    answer on an end of that window, other than lo or hi, raises ``_Miss``:
+    the test one kink beyond it was never read.
     """
     d = ys.size
+    below, above = 0, d
+    if lo >= hi:  # an empty bracket: the edge is proven
+        return lo, guess, (below, above)
     spans, (left, right) = (None, (0, d)) if wins is None else (wins[0], wins[1][cap])
-    lo0, lo, hi = lo, max(lo, left), right
+    lo0, hi0 = lo, hi
+    lo, hi = max(lo, left), min(hi, right)
     shift, side = (t, "left") if cap else (0.0, "right")
     guided = _GUIDED
     while lo < hi:
@@ -289,16 +322,34 @@ def _block_edge(ys, sums, s, t, cap, lo, guess, wins):
                 if lo <= g <= hi and (left < g < right or right - left == d):
                     k = min(g, hi - 1)
         gamma = t - ys.item(k) if cap else -ys.item(k)
-        v, n = _f(ys, sums, t, gamma, spans)
-        if (v <= s) if cap else (v < s):
+        v, i, j, part = _f(ys, sums, t, gamma, spans)
+        passed = (v <= s) if cap else (v < s)
+        kept[2 * cap + passed] = i, j, part
+        if passed:
             hi = k
         else:
             lo = k + 1
+        # b's bracket from a zero-edge probe, where j ranks t - gamma.  Each
+        # y_k < c = fl(t - gamma) is at most the float below c, and so at
+        # most t - gamma: the kinks k < j are >= gamma and fail the cap test
+        # when v > s.  A y_k >= c can give a kink above gamma when c rounded
+        # down, so r steps from j past each such value and its ties, ranked
+        # as f ranks, to the first kink <= gamma; those pass the cap test
+        # when v <= s.  A rank not trusted drops the bound.  A NaN v, from a
+        # sum past DBL_MAX, bounds nothing
+        if not cap and v > s:
+            below = max(below, j)
+        elif not cap and v <= s:
+            r = j
+            while r < above and t - ys.item(r) > gamma:
+                r = int(ys.searchsorted(ys.item(r), side="right"))
+                r = r if _trusted(spans, r, d) else above
+            above = min(above, r)
         # on a flat piece of f the step is undefined
-        guess = gamma + (s - v) / n if n else math.nan
-    if lo == left > lo0 or lo >= right < d:
+        guess = gamma + (s - v) / (j - i) if j > i else math.nan
+    if lo == left > lo0 or lo >= right < hi0:
         raise _Miss
-    return lo, guess
+    return lo, guess, (below, above)
 
 
 def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
@@ -313,11 +364,14 @@ def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
     kink indices, never off float tests of ``y + gamma``.  Each evaluation
     of f also gives its slope, so the probes go where a Newton step from
     the previous one predicts the edge (``_block_edge``), starting from the
-    shift that solves the sum with every coordinate interior.  A solve
-    typically evaluates f about 5 times (4.3 to 5.5 on average over the
-    benchmark workloads, against 12 to 37 for two plain bisections).  In
-    the worst case each edge spends its ``_GUIDED`` guided probes and then
-    a full bisection, ``2*ceil(log2(D+1)) + 12`` evaluations of f: at most
+    shift that solves the sum with every coordinate interior.  Each probe of
+    the zero edge also bounds b, since f is nondecreasing, and the cap edge
+    searches only between those bounds: none at all when they meet, as
+    ``b = D`` on a sparse solve.  A search typically evaluates f about 4
+    times (3.7 on the benchmark's rows_minibatch and 4.5 on topk_sparse on
+    average, against 12 to 37 for two plain bisections).  In the worst case
+    each edge spends its ``_GUIDED`` guided probes and then a full
+    bisection, ``2*ceil(log2(D+1)) + 12`` evaluations of f: at most
     ``O(D log D)``, the sort's order.  The one case where f is flat at level
     s, the all-pinned split (s a multiple of t, a gap of t), is tested first.
     Past it, one pass takes the block sums that every probe, the start
@@ -325,7 +379,10 @@ def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
 
     Returns ``(a, b, gamma)``.  With an interior, the sum constraint forces
     ``gamma = (s - t*(D - b) - sum(y_a..y_b)) / (b - a)``, the interior
-    summed as f sums it.  An all-pinned split returns ``_degenerate_gamma``.
+    summed as f sums it.  Where a probe already summed exactly ``[a, b)``,
+    as the zero edge's probe at kink ``a - 1`` or the cap edge's at ``b``
+    mostly has, its sum is taken: the same ``_sum`` over the same range,
+    so the same bits.  An all-pinned split returns ``_degenerate_gamma``.
 
     ``wins`` is ``(spans, windows)`` when ys is sorted only in the spans
     ``(lo, hi)`` (``_windows``): each edge is searched in its window, and a
@@ -337,11 +394,22 @@ def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
     a = b = d - round(s / t)
     if not boundary_case_holds(ys, a, s, 0.0, t):
         sums = _block_sums(ys)
-        a, guess = _block_edge(ys, sums, s, t, False, 0, (s - _sum(ys, sums, 0, d)) / d, wins)
-        b, _ = _block_edge(ys, sums, s, t, True, a, guess, wins)
+        kept = [None] * 4
+        a, guess, (below, above) = _block_edge(
+            ys, sums, s, t, False, 0, d, (s - _sum(ys, sums, 0, d)) / d, wins, kept
+        )
+        lo = max(a, below)
+        b = _block_edge(ys, sums, s, t, True, lo, max(lo, above), guess, wins, kept)[0]
     if a == b:  # the sorted neighbours of a: the largest zero, the smallest cap
         return a, a, _degenerate_gamma(ys[max(a - 1, 0) : a], ys[a : a + 1], t)
-    return a, b, (s - t * (d - b) - _sum(ys, sums, a, b)) / (b - a)
+    # a probe that summed exactly [a, b) took the same _sum: reuse its bits
+    for probe in kept:
+        if probe and probe[0] == a and probe[1] == b:
+            part = probe[2]
+            break
+    else:
+        part = _sum(ys, sums, a, b)
+    return a, b, (s - t * (d - b) - part) / (b - a)
 
 
 # values in the sample that predicts the windows of a solve above D = 2^14
@@ -423,12 +491,23 @@ def _windows(ys: np.ndarray, s: float, t: float):
     The sample only places the windows: whether they hold the answer is
     decided by the search, which raises ``_Miss`` when they do not.  Up to
     D = 2^14, or with a shift that is not finite, ys is sorted throughout
-    and None, the widest window, returned.
+    and None, the widest window, returned.  At ``s = 0`` and ``s = t*D``
+    the all-pinned pretest holds with no gap test, and the answer reads
+    only an extreme: the extremes are put at the ends and returned as both
+    the spans and the windows, and nothing is sampled or sorted.
     """
     d = ys.size
     if d <= _BLOCK:
         ys.sort()
         return None
+    # the all-pinned pretest reads ys at k - 1 and k when s = t*(D - k),
+    # and only an extreme, for gamma, at k = 0 or D
+    k = d - round(s / t)
+    pinned = s == t * (d - k)
+    if pinned and not 0 < k < d:
+        _cut(ys, 0, d, [1, d - 1])
+        ends = (0, 1), (d - 1, d)
+        return ends, ends
     sample = np.sort(ys[:: d // _SAMPLE])
     m = sample.size
     a, b, g = _kink_search(sample, s * m / d, t)
@@ -461,9 +540,8 @@ def _windows(ys: np.ndarray, s: float, t: float):
         if lo_v + shift <= high and hi_v + shift >= low:
             spans.append(_positions(m, d, *_around(sample, lo_v + shift, hi_v + shift)))
     spans += windows
-    a = d - round(s / t)
-    if s == t * (d - a) and 0 < a < d:
-        spans.append((a - 1, a + 1))
+    if pinned:
+        spans.append((k - 1, k + 1))
     merged = []
     for lo, hi in sorted(spans):
         if merged and lo <= merged[-1][1]:
@@ -515,9 +593,9 @@ def _assemble(
 ) -> ProjectionResult:
     # The kink tests read only ys[k], so a and b each start a group of equal
     # values (or equal D): the blocks are exact comparisons against them, and
-    # an empty block costs no pass over y.  With an interior, x is built in
-    # the buffer of ys, which is overwritten: a second array of D doubles
-    # per solve would be fresh memory, and page faults, whenever the
+    # an empty block costs no pass over y.  x is built in the buffer of ys,
+    # which is overwritten, the masks having read it: a second array of D
+    # doubles per solve would be fresh memory, and page faults, whenever the
     # allocator has handed the last one back to the system.  ``edges`` are
     # ``_edge_values(ys, p)``, read before ys is overwritten.
     d = y.size
@@ -561,7 +639,7 @@ def _assemble(
             np.putmask(x, at_cap, t)
             gamma += delta
     else:
-        x = at_cap * t
+        x = np.multiply(at_cap, t, out=ys)
     return ProjectionResult(x=x, gamma=float(gamma), partition=p, at_zero=at_zero, at_cap=at_cap)
 
 

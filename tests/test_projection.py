@@ -2,6 +2,7 @@
 
 import bisect
 import importlib
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -362,14 +363,20 @@ def test_wrong_split_raises(monkeypatch):
 
 @pytest.fixture
 def f_calls(monkeypatch):
-    # counts every evaluation of f the kink search makes, guided or bisecting
-    calls = [0]
-    f = projection._f
+    # counts every evaluation of f the kink search makes, guided or
+    # bisecting, per block edge: [zero edge, cap edge]
+    calls, edge = [0, 0], [0]
+    f, block_edge = projection._f, projection._block_edge
+
+    def searching(ys, sums, s, t, cap, *args):
+        edge[0] = int(cap)
+        return block_edge(ys, sums, s, t, cap, *args)
 
     def counted(*args):
-        calls[0] += 1
+        calls[edge[0]] += 1
         return f(*args)
 
+    monkeypatch.setattr(projection, "_block_edge", searching)
     monkeypatch.setattr(projection, "_f", counted)
     return calls
 
@@ -385,25 +392,25 @@ def test_search_work_stays_within_two_bisections(f_calls):
         for ties in (False, True):
             y = rng.integers(0, 4, d) / 4.0 if ties else rng.normal(size=d)
             for s in (float(rng.integers(0, d + 1)), float(rng.uniform(0.0, d))):
-                f_calls[0] = 0
+                f_calls[:] = 0, 0
                 project_capped_simplex(ProjectionInput(y, s))
-                assert f_calls[0] <= bound, (d, ties, s, f_calls[0])
-                total += f_calls[0]
+                assert sum(f_calls) <= bound, (d, ties, s, f_calls)
+                total += sum(f_calls)
     # the count is live, and far below the 705 evaluations of two plain
     # bisections on these 52 solves
     assert 0 < total <= 300
 
 
-def _two_bisections(ys, s, t):
+def _two_bisections(ys, s, t, f=None):
     # reference split: the first kink index of each edge test by plain
-    # bisection, with f evaluated from its definition
+    # bisection, with f evaluated from its definition unless f is given
     d = ys.size
     a = d - round(s / t)
     if boundary_case_holds(ys, a, s, 0.0, t):
         return a, a
 
-    def f(gamma):
-        return np.clip(ys + gamma, 0.0, t).sum()
+    def f(gamma, f=f):
+        return np.clip(ys + gamma, 0.0, t).sum() if f is None else f(gamma)
 
     a = bisect.bisect_left(range(d), True, key=lambda k: f(-ys[k]) < s)
     b = bisect.bisect_left(range(d), True, lo=a, key=lambda k: f(t - ys[k]) <= s)
@@ -433,12 +440,12 @@ def test_guided_search_matches_two_bisections_on_adversarial_inputs(f_calls):
         t = 10.0 ** rng.uniform(-2.0, 2.0)
         s = t * (float(rng.integers(d + 1)) if rng.random() < 0.5 else rng.uniform(0.0, d))
         ys = np.sort(y)
-        f_calls[0] = 0
+        f_calls[:] = 0, 0
         split = projection._kink_search(ys, s, t)[:2]
         assert split == _two_bisections(ys, s, t), (d, s, t)
         bisections = 2 * math.ceil(math.log2(d + 1))
-        assert f_calls[0] <= bisections + 2 * projection._GUIDED, (d, s, t, f_calls[0])
-        excess.append(f_calls[0] - bisections)
+        assert sum(f_calls) <= bisections + 2 * projection._GUIDED, (d, s, t, f_calls)
+        excess.append(sum(f_calls) - bisections)
     # a guess outside the open bracket is not followed, so Newton cycling on
     # heavy tails costs at most a few probes over two bisections (9 here
     # when such guesses are clamped into the bracket instead)
@@ -490,14 +497,133 @@ def test_block_sums_keep_the_split_of_two_bisections(f_calls, d):
             t = 10.0 ** rng.uniform(-2.0, 2.0)
             s = t * (float(rng.integers(d + 1)) if rng.random() < 0.5 else rng.uniform(0.0, d))
             ys = np.sort(y)
-            f_calls[0] = 0
+            f_calls[:] = 0, 0
             a, b, gamma = projection._kink_search(ys, s, t)
             assert (a, b) == _two_bisections(ys, s, t), (kind, s, t)
-            assert f_calls[0] <= bisections + 2 * projection._GUIDED, (kind, s, t, f_calls[0])
+            assert sum(f_calls) <= bisections + 2 * projection._GUIDED, (kind, s, t, f_calls)
             if a < b:
                 _assert_shift_solves_the_sum(ys, s, t, a, b, gamma)
             else:
                 assert gamma == projection._degenerate_gamma(ys[:a], ys[a:], t)
+
+
+def _workload(monkeypatch, name, seed):
+    # a benchmark workload of perfbench/workloads.py at this seed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("workloads").WORKLOADS[name](seed)
+
+
+def test_the_zero_edge_proves_b_at_d_on_topk_sparse(monkeypatch, f_calls):
+    # topk_sparse rows have no coordinate at the cap, b = D, and y spans
+    # less than t: a zero-edge probe that reads f(gamma) > s ranks t - gamma
+    # above every y, which proves b = D, so the cap edge evaluates nothing.
+    # The first 200 rows at seed 421 evaluate f 4.5 times a solve on average
+    wl = _workload(monkeypatch, "topk_sparse", 421)
+    total = 0
+    for i in range(200):
+        inst = wl.instance(i)
+        f_calls[:] = 0, 0
+        res = project_capped_box(ProjectionInput(inst.y, inst.s, inst.t))
+        assert res.partition.b == inst.y.size and f_calls[1] == 0, (i, f_calls)
+        total += f_calls[0]
+    assert total <= 4.6 * 200, total
+
+
+def test_every_bound_on_b_agrees_with_the_cap_test(monkeypatch):
+    # Each zero-edge probe bounds b (_block_edge).  y on a grid of t/8, or
+    # in blocks of equal values on it.  At a cap of 1 or 1/2 every sum is
+    # exact and s is f at a grid shift half the time, so some probes read
+    # f(gamma) == s exactly.  At 0.3 or 1/3, t - gamma rounds, so the kink
+    # at the rank of t - gamma can lie above gamma and the upper bound steps
+    # past it; there s is on the grid of t/8, and the reference bisections
+    # evaluate f as the search does, since f from its definition rounds
+    # differently and can put another split's kink at s.  Every bound
+    # agrees with the cap test at its kink, evaluated as the cap edge
+    # would, and the split is still that of two bisections
+    rng = np.random.default_rng(7)
+    block_edge, f = projection._block_edge, projection._f
+    bounds, probes, seen = [], [], {"f == s": 0, "stepped": 0, "checked": 0}
+
+    def recorded(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
+        probes.clear()
+        out = block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, kept)
+        if not cap:
+            bounds.append((ys, sums, s, t, wins, out[2]))
+            for gamma, (v, _, j, _) in probes:
+                seen["f == s"] += v == s
+                seen["stepped"] += v <= s and j < ys.size and t - ys.item(j) > gamma
+        return out
+
+    def probed(ys, sums, t, gamma, spans=None):
+        out = f(ys, sums, t, gamma, spans)
+        probes.append((gamma, out))
+        return out
+
+    monkeypatch.setattr(projection, "_block_edge", recorded)
+    monkeypatch.setattr(projection, "_f", probed)
+    sizes, caps = (64, 3000, 2**14 + 1, 100_000), (1.0, 0.5, 0.3, 1 / 3)
+    for d, blocks, t in itertools.product(sizes, (False, True), caps):
+        for _ in range(8 if d < 2**14 else 3):
+            n = d // 50 + 1 if blocks else d
+            y = rng.integers(-16, 17, n) * (t / 8.0)
+            y = np.repeat(y, 50)[:d] if blocks else y
+            if t in (1.0, 0.5) and rng.random() < 0.5:
+                s = float(np.clip(y + int(rng.integers(-16, 17)) * (t / 8.0), 0.0, t).sum())
+            else:
+                s = t * float(rng.integers(0, 8 * d + 1)) / 8.0
+            bounds.clear()
+            _, (a, b, _) = projection._search(y, s, t)
+            ys = np.sort(y)
+            sums = projection._block_sums(ys)
+            as_searched = None if t in (1.0, 0.5) else lambda g: f(ys, sums, t, g)[0]
+            assert (a, b) == _two_bisections(ys, s, t, as_searched), (blocks, t, s)
+            for ys, sums, target, cap, wins, (below, above) in bounds:
+                for k, passes in ((below - 1, False), (above, True)):
+                    if 0 <= k < ys.size:
+                        try:
+                            v = f(ys, sums, cap, cap - ys.item(k), wins and wins[0])[0]
+                        except projection._Miss:  # a rank outside the windows
+                            continue
+                        assert (v <= target) == passes, (blocks, t, s, below, above)
+                        seen["checked"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_the_shift_reuses_the_interior_sum_of_a_probe(monkeypatch):
+    # gamma solves the sum with the interior sum of a probe that summed
+    # exactly [a, b), when one did, so no second _sum runs over [a, b); the
+    # shift has the bits of one solved from a fresh _sum
+    real_sum, f = projection._sum, projection._f
+    taken, probed = [], []
+
+    def summing(ys, sums, lo, hi):
+        taken.append((lo, hi))
+        return real_sum(ys, sums, lo, hi)
+
+    def probing(*args):
+        out = f(*args)
+        probed.append(out[1:3])
+        return out
+
+    monkeypatch.setattr(projection, "_sum", summing)
+    monkeypatch.setattr(projection, "_f", probing)
+    rng = np.random.default_rng(5)
+    reused = 0
+    for d in (64, 4096, 2**14 + 3, 3 * 2**14 + 5):
+        for _ in range(15):
+            ys = np.sort(rng.uniform(-0.5, 0.5, d) * 4.0)
+            t = float(rng.choice([1.0, 0.3]))
+            s = float(rng.uniform(0.02, 0.98)) * t * d
+            taken.clear()
+            probed.clear()
+            a, b, gamma = projection._kink_search(ys, s, t)
+            assert a < b, (d, s)
+            probes = probed.count((a, b))
+            assert taken.count((a, b)) == max(probes, 1), (d, s, probes)
+            reused += probes > 0
+            want = (s - t * (d - b) - real_sum(ys, projection._block_sums(ys), a, b)) / (b - a)
+            assert np.float64(gamma).tobytes() == np.float64(want).tobytes(), (d, s)
+    assert reused >= 40, reused
 
 
 @pytest.fixture
@@ -557,8 +683,10 @@ def test_windows_keep_the_split_of_two_bisections(searches, d):
     # shift solves the sum to within the rounding error of any order of
     # addition.  Most cases are answered from the windows; a tie group of
     # the 1/8 grid is cut by a window's end, which the search reads exactly.
-    # A degenerate target, whose sample has no interior, takes the windows
-    # like any other
+    # At s = 0 and t*D the all-pinned pretest reads only an extreme, so the
+    # one search runs with the extremes in place and nothing else sorted;
+    # s = 5e-324, whose sample has no interior, takes the windows like any
+    # other target
     rng = np.random.default_rng(d)
     fell_back, cut = [], 0
     for label, y, s, t in _window_cases(rng, d):
@@ -571,7 +699,9 @@ def test_windows_keep_the_split_of_two_bisections(searches, d):
         else:
             assert gamma == projection._degenerate_gamma(ys[:a], ys[a:], t), label
         wins = searches[1][1] if len(searches) > 1 else None
-        if label in ("s = 0", "s = 5e-324", "s = tD"):
+        if label in ("s = 0", "s = tD"):
+            assert searches == [(d, (((0, 1), (d - 1, d)),) * 2)], (label, searches)
+        if label == "s = 5e-324":
             assert wins and searches[1][0] == d, label
         if wins and "ties" in label:
             cut += any(0 < lo and ys[lo - 1] == ys[lo] for lo, _ in wins[0])
@@ -776,8 +906,9 @@ def test_block_sums_add_up_every_slice():
 
 def test_f_where_both_kinks_of_a_coordinate_round_together():
     # at gamma = 1e17, t - gamma rounds to -gamma: y = -1e17 has y + gamma
-    # == 0 and counts at zero, so the slope is 0, never negative
-    assert projection._f(np.array([-1e17, 0.1]), None, 1.0, 1e17) == (1.0, 0)
+    # == 0 and counts at zero, so the interior ys[1:1] is empty and the
+    # slope 0, never negative
+    assert projection._f(np.array([-1e17, 0.1]), None, 1.0, 1e17) == (1.0, 1, 1, 0.0)
 
 
 def test_f_trusts_a_rank_only_strictly_inside_a_sorted_span():
@@ -1039,8 +1170,7 @@ def test_outliers_are_solved_or_refused_never_wrong():
 def test_rows_minibatch_negative_outliers_certify(monkeypatch, i):
     # rows_minibatch at seed 811: D = 64, one outlier of -3.3e11 to -9.7e11
     # among values in [-0.5, 0.5)
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    inst = importlib.import_module("workloads").WORKLOADS["rows_minibatch"](811).instance(i)
+    inst = _workload(monkeypatch, "rows_minibatch", 811).instance(i)
     inp = ProjectionInput(inst.y, inst.s, inst.t)
     assert certify_result(inp, project_capped_box(inp))[1].passed
 
@@ -1180,3 +1310,25 @@ def test_solve_peak_memory_stays_under_two_arrays(mask_writes):
     finally:
         tracemalloc.stop()
     assert peak < 8 * d + 2 * d + 9 * (1 << 14) + 8 * 8192 + (1 << 14), peak
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0])
+def test_an_all_pinned_solve_reads_the_extremes_and_writes_x_in_its_buffer(searches, u):
+    # at s = 0 and s = t*D the all-pinned pretest reads no order, so the one
+    # search runs with only the extremes in place, and x = 0 or t is
+    # written into the copy of y the search made: beside it the solve holds
+    # the two masks and numpy's cast buffer of 8192 doubles, which the
+    # product of a bool mask and t fills, and no second array of D doubles
+    d, t = 1 << 18, 0.7
+    inp = ProjectionInput(np.random.default_rng(2).uniform(-1.0, 1.0, d), u * t * d, t)
+    tracemalloc.start()
+    try:
+        res = project_capped_box(inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert searches == [(d, (((0, 1), (d - 1, d)),) * 2)], searches
+    assert res.partition == Partition(round((1 - u) * d), round((1 - u) * d))
+    assert res.x.tobytes() == np.full(d, u * t).tobytes()
+    assert peak < 8 * d + 2 * d + 8 * 8192 + (1 << 14), peak
+    assert certify_result(inp, res)[1].passed
