@@ -231,7 +231,7 @@ def _sum(ys: np.ndarray, sums, lo: int, hi: int) -> float:
 
 
 class _Miss(Exception):
-    """A probe or a block edge of the kink search fell outside the sorted windows."""
+    """A probe or a block edge of the kink search fell outside the sorted windows, or none were placed."""
 
 
 def _f(ys: np.ndarray, sums, t: float, gamma: float, spans=None):
@@ -297,10 +297,11 @@ def _block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
     edge and outcome, at ``kept[2*cap + passed]``.
 
     When ys is sorted only in parts, ``wins`` is ``(spans, windows)``: f
-    trusts only ranks in the sorted spans, and the probes go to the part of
-    the edge's sorted window ``windows[cap]`` inside ``[lo, hi)``.  An
-    answer on an end of that window, other than lo or hi, raises ``_Miss``:
-    the test one kink beyond it was never read.
+    trusts only ranks in the sorted spans, and the bracket is cut to the
+    edge's sorted window ``windows[cap]``, so whatever the guess's rank, the
+    kink it picks in the bracket is tested exactly.  An answer on an end of
+    that window, other than lo or hi, raises ``_Miss``: the test one kink
+    beyond it was never read.
     """
     d = ys.size
     below, above = 0, d
@@ -316,10 +317,10 @@ def _block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
         if guided and hi - lo > 2:  # two bisection probes close a smaller bracket
             guided -= 1
             if math.isfinite(guess):
-                # ranked as f ranks, so exact strictly inside the window;
-                # a guess outside the bracket is known wrong
+                # the guess only picks the kink: each in the bracket, inside
+                # the sorted window, tests exactly; one outside is known wrong
                 g = int(ys.searchsorted(shift - guess, side))
-                if lo <= g <= hi and (left < g < right or right - left == d):
+                if lo <= g <= hi:
                     k = min(g, hi - 1)
         gamma = t - ys.item(k) if cap else -ys.item(k)
         v, i, j, part = _f(ys, sums, t, gamma, spans)
@@ -488,9 +489,9 @@ def _windows(ys: np.ndarray, s: float, t: float):
     of t, the two values the all-pinned pretest reads.  ``_cut`` puts every
     span in place, and each is sorted.
 
-    The sample only places the windows: whether they hold the answer is
-    decided by the search, which raises ``_Miss`` when they do not.  Up to
-    D = 2^14, or with a shift that is not finite, ys is sorted throughout
+    The sample only places the windows: the search decides whether they
+    hold the answer, and raises ``_Miss`` when they do not; a sample shift
+    that is not finite is a miss too.  Up to D = 2^14 ys is sorted whole
     and None, the widest window, returned.  At ``s = 0`` and ``s = t*D``
     the all-pinned pretest holds with no gap test, and the answer reads
     only an extreme: the extremes are put at the ends and returned as both
@@ -518,8 +519,7 @@ def _windows(ys: np.ndarray, s: float, t: float):
     var = (t * top + float(z @ z)) / m - ((top + float(z.sum())) / m) ** 2
     e = _Z * math.sqrt(m * max(var, 0.0)) / (b - a) if b > a else 0.0
     if not math.isfinite(g + e):
-        ys.sort()
-        return None
+        raise _Miss
     _cut(ys, 0, d, [1, d - 1])
     low, high = ys.item(0), ys.item(-1)
     spans, windows = [(0, 1), (d - 1, d)], []

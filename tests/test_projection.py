@@ -5,6 +5,7 @@ import importlib
 import itertools
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -889,6 +890,45 @@ def test_windows_too_narrow_fall_back_to_the_full_sort(monkeypatch, searches):
     ref = _full_sort(monkeypatch, inp)
     assert not _fell_back(searches, d)
     _assert_same_answer(res, ref)
+
+
+@pytest.mark.parametrize("d", [2**14 + 1, 100_000])
+def test_a_sample_shift_that_is_not_finite_falls_back_to_the_full_sort(searches, d):
+    # the sample's sums pass DBL_MAX, so its shift is not finite and no
+    # window is placed: the solve sorts all of y and searches it once.  The
+    # answer's interior holds a |y_i| >= 2^53 * t, which has no exact double
+    # form (README, Domain), so the typed error is raised, with no warning
+    y = (np.random.default_rng(d).random(d) - 0.5) * 2 * 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InconsistentCandidateError):
+            project_capped_box(ProjectionInput(y, 0.5))
+    assert len(searches) == 2 and searches[0][0] < d and searches[1] == (d, None), searches
+
+
+def test_a_guess_at_an_end_of_y_is_probed_on_dense_cap(monkeypatch, f_calls):
+    # dense_cap has no zeros, so the zero edge's window starts at the
+    # minimum and a Newton guess can pick rank 0, an end of y, where f is
+    # exact: the probe goes there instead of bisecting the window.  Each
+    # search of a buffer above 2^14 (not the sample's) evaluates f at most
+    # 6 times on the first 60 instances at seed 421 (16 at instance 3 when
+    # such a guess was bisected instead)
+    wl = _workload(monkeypatch, "dense_cap", 421)
+    search, spent = projection._kink_search, []
+
+    def counted(ys, s, t, wins=None):
+        before = sum(f_calls)
+        out = search(ys, s, t, wins)
+        if ys.size > projection._BLOCK:
+            spent.append(sum(f_calls) - before)
+        return out
+
+    monkeypatch.setattr(projection, "_kink_search", counted)
+    for i in range(60):
+        inst = wl.instance(i)
+        spent.clear()
+        project_capped_box(ProjectionInput(inst.y, inst.s, inst.t))
+        assert spent and max(spent) <= 6, (i, spent)
 
 
 def test_block_sums_add_up_every_slice():
