@@ -535,15 +535,16 @@ def test_every_bound_on_b_agrees_with_the_cap_test(monkeypatch):
     # in blocks of equal values on it.  At a cap of 1 or 1/2 every sum is
     # exact and s is f at a grid shift half the time, so some probes read
     # f(gamma) == s exactly.  At 0.3 or 1/3, t - gamma rounds, so the kink
-    # at the rank of t - gamma can lie above gamma and the upper bound steps
-    # past it; there s is on the grid of t/8, and the reference bisections
-    # evaluate f as the search does, since f from its definition rounds
-    # differently and can put another split's kink at s.  Every bound
+    # at the rank of t - gamma can lie above gamma, and a probe with
+    # f(gamma) <= s then leaves the upper bound open ("left open" counts
+    # those probes); there s is on the grid of t/8, and the reference
+    # bisections evaluate f as the search does, since f from its definition
+    # rounds differently and can put another split's kink at s.  Every bound
     # agrees with the cap test at its kink, evaluated as the cap edge
     # would, and the split is still that of two bisections
     rng = np.random.default_rng(7)
     block_edge, f = projection._block_edge, projection._f
-    bounds, probes, seen = [], [], {"f == s": 0, "stepped": 0, "checked": 0}
+    bounds, probes, seen = [], [], {"f == s": 0, "left open": 0, "checked": 0}
 
     def recorded(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
         probes.clear()
@@ -552,7 +553,7 @@ def test_every_bound_on_b_agrees_with_the_cap_test(monkeypatch):
             bounds.append((ys, sums, s, t, wins, out[2]))
             for gamma, (v, _, j, _) in probes:
                 seen["f == s"] += v == s
-                seen["stepped"] += v <= s and j < ys.size and t - ys.item(j) > gamma
+                seen["left open"] += v <= s and j < ys.size and t - ys.item(j) > gamma
         return out
 
     def probed(ys, sums, t, gamma, spans=None):
@@ -588,6 +589,52 @@ def test_every_bound_on_b_agrees_with_the_cap_test(monkeypatch):
                         assert (v <= target) == passes, (blocks, t, s, below, above)
                         seen["checked"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_an_upper_bound_on_b_whose_kink_rounds_above_gamma_is_left_open(monkeypatch):
+    # y on a grid of t/3, t/7 or t/8 at caps that round, and s = f at a zero
+    # kink, so some probe reads f(gamma) == s while t - gamma rounds down:
+    # the kink t - y_j at the rank j of t - gamma then lies above gamma, and
+    # j must not bound b from above (taking it changes the split on about 1
+    # in 40 of these).  Each bound is proven by a zero-edge probe: b's lower
+    # bound has its kink at or above the shift of a probe with f > s, its
+    # upper bound at or below the shift of a probe with f <= s, so each
+    # agrees with the cap test wherever f, evaluated in floats, is monotone
+    block_edge, f = projection._block_edge, projection._f
+    bounds, probes = [], []
+
+    def recorded(ys, sums, s, t, cap, *args):
+        out = block_edge(ys, sums, s, t, cap, *args)
+        if not cap:  # the zero edge runs first: every probe so far is its own
+            bounds.append((out[2], list(probes)))
+        return out
+
+    def probed(ys, sums, t, gamma, spans=None):
+        out = f(ys, sums, t, gamma, spans)
+        probes.append((gamma, out[0]))
+        return out
+
+    monkeypatch.setattr(projection, "_block_edge", recorded)
+    monkeypatch.setattr(projection, "_f", probed)
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(3000):
+        d = int(rng.integers(2, 60))
+        t = float(rng.choice([0.3, 1 / 3, 0.1, 0.7]))
+        ys = np.sort(rng.integers(-16, 17, d) * (t / float(rng.choice([3, 7, 8]))))
+        s = f(ys, None, t, -ys.item(int(rng.integers(d))))[0]
+        if not 0.0 <= s <= t * d:
+            continue
+        bounds.clear()
+        probes.clear()
+        projection._kink_search(ys, s, t)
+        for (below, above), zero_probes in bounds:  # none if the all-pinned pretest holds
+            if below:
+                assert any(v > s and t - ys.item(below - 1) >= g for g, v in zero_probes), (t, s)
+            if above < d:
+                assert any(v <= s and t - ys.item(above) <= g for g, v in zero_probes), (t, s)
+                checked += 1
+    assert checked > 500, checked
 
 
 def test_the_shift_reuses_the_interior_sum_of_a_probe(monkeypatch):
