@@ -5,25 +5,14 @@ The main entry points are :func:`project_capped_simplex` for the unit cap,
 an optimality certificate for the solver's output, and
 :func:`enumerate_oracle` as an independent brute-force reference for small
 problems.
+
+Importing the package loads the solver and its certificate only.  The
+benchmark harness, the iterative baselines and the oracle load the first
+time one of their names, or the submodule itself, is read.
 """
 
-from .baselines import (
-    IterativeResult,
-    SolverConfig,
-    admm_project,
-    dykstra_project,
-    project_simplex,
-)
-from .bench import (
-    CSV_COLUMNS,
-    DEFAULT_SIZES,
-    METHODS,
-    BenchPlan,
-    BenchRecord,
-    run_benchmark,
-    summarize,
-    write_records,
-)
+import importlib
+
 from .errors import (
     CapacityError,
     CappedProjError,
@@ -38,12 +27,6 @@ from .kkt import (
     KktReport,
     certify,
     certify_result,
-)
-from .oracle import (
-    GENERATOR_ID,
-    ORACLE_MAX_DIM,
-    enumerate_oracle,
-    random_instance,
 )
 from .projection import (
     Partition,
@@ -92,3 +75,25 @@ __all__ = [
     "summarize",
     "write_records",
 ]
+
+# Searched in this order for a public name not yet loaded: the oracle and the
+# baselines import nothing of each other, and bench imports both, so a name
+# loads at most one module it does not need.
+_ON_DEMAND = ("oracle", "baselines", "bench")
+
+
+def __getattr__(name):
+    # PEP 562: called only for a name the package does not hold yet
+    if name in _ON_DEMAND:
+        return importlib.import_module(f".{name}", __name__)
+    if name in __all__:
+        for module in _ON_DEMAND:
+            defined = vars(importlib.import_module(f".{module}", __name__))
+            if name in defined:
+                globals()[name] = defined[name]
+                return defined[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

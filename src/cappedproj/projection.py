@@ -129,10 +129,10 @@ class ProjectionResult:
 
     ``at_zero`` and ``at_cap`` are boolean masks in the input order: the
     ``a`` coordinates pinned at 0 and the ``D - b`` pinned at the cap, where
-    ``x`` is exactly 0 and exactly the cap.  ``fallback`` is always False: a
-    split that fails its sign tests raises ``InconsistentCandidateError``
-    instead of being returned.  The field is kept so callers that read it
-    keep working.
+    ``x`` is exactly 0 and exactly the cap.  ``fallback`` is a class-level
+    False, not a field: a split that fails its sign tests raises
+    ``InconsistentCandidateError`` instead of being returned.  Only the
+    benchmark in ``perfbench/`` still reads it.
     """
 
     x: np.ndarray
@@ -140,7 +140,8 @@ class ProjectionResult:
     partition: Partition
     at_zero: np.ndarray
     at_cap: np.ndarray
-    fallback: bool = False
+
+    fallback = False
 
 
 def sort_with_permutation(y) -> SortedInstance:

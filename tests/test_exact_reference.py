@@ -75,3 +75,14 @@ def test_the_windowed_solver_matches_the_exact_projection(family):
     # above D = 2^14 the solver sorts only windows of y
     d = 2**14 + 1
     _check(_y(family, np.random.default_rng(11), d), 0.37 * d, 1.0)
+
+
+_LARGE = [(f, 10_000) for f in _FAMILIES] + [(f, 2**14 + 1) for f in _FAMILIES[2:]]
+
+
+@pytest.mark.parametrize("family, d", _LARGE, ids=[f"{f}-{d}" for f, d in _LARGE])
+def test_the_solver_matches_the_exact_projection_at_large_d(family, d):
+    # every family at D = 10^4, and on the windowed path (D > 2^14) the five
+    # that the test above leaves out, at a cap that rounds
+    t = 0.3
+    _check(_y(family, np.random.default_rng([_FAMILIES.index(family), d]), d), 0.37 * t * d, t)

@@ -5,6 +5,7 @@
 name or field they use is removed, instead of a benchmark run failing.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -43,6 +44,11 @@ def test_fields_read_from_a_certified_solve():
     _, rep = cappedproj.certify(inp, res.x)
     assert rep.passed
     assert cappedproj.sort_with_permutation(inp.y).y_sorted.size == inp.y.size
+
+
+def test_fallback_is_a_constant_not_a_field():
+    # the benchmark reads res.fallback (checked above); no solve sets it
+    assert "fallback" not in {f.name for f in dataclasses.fields(cappedproj.ProjectionResult)}
 
 
 def test_fields_read_from_an_iterative_solve():
