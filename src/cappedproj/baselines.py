@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .projection import ProjectionInput, _vector, _whole
+from .projection import ProjectionInput, _real, _vector, _whole
 
 
 @dataclass
@@ -26,11 +26,10 @@ class SolverConfig:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if not 0.0 < self.tol < np.inf:
+        self.tol = _real(self.tol, "tol")
+        if self.tol <= 0.0:
             raise InvalidInputError(f"tol must be a positive finite number, got {self.tol}")
-        self.max_iters = _whole(self.max_iters, "max_iters")
-        if self.max_iters < 1:
-            raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
+        self.max_iters = _whole(self.max_iters, "max_iters", 1)
 
 
 @dataclass
@@ -48,9 +47,8 @@ def project_simplex(y, s: float) -> np.ndarray:
     Sort descending, find the largest k whose threshold keeps the top k
     coordinates positive, and shift those by it; the rest clip to zero.
     """
-    y = _vector(y)
-    s = float(s)
-    if not np.isfinite(s) or s < 0.0:
+    y, s = _vector(y), _real(s, "sum target")
+    if s < 0.0:
         raise InvalidInputError(f"sum target must be nonnegative, got {s}")
     if s == 0.0:
         return np.zeros_like(y)

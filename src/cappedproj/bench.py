@@ -80,16 +80,12 @@ class BenchPlan:
     base_seed: int = 0
 
     def __post_init__(self):
-        self.sizes = tuple(_whole(d, "size") for d in self.sizes)
+        self.sizes = tuple(_whole(d, "size", 1) for d in self.sizes)
         self.methods = tuple(self.methods)
-        self.repetitions = _whole(self.repetitions, "repetitions")
-        self.base_seed = _whole(self.base_seed, "base_seed")
-        if not self.sizes or any(d < 1 for d in self.sizes):
+        self.repetitions = _whole(self.repetitions, "repetitions", 1)
+        self.base_seed = _whole(self.base_seed, "base_seed", 0)
+        if not self.sizes:
             raise InvalidInputError("sizes must be a nonempty list of positive dimensions")
-        if self.repetitions < 1:
-            raise InvalidInputError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.base_seed < 0:
-            raise InvalidInputError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.methods:
             raise InvalidInputError("methods must name at least one solver")
         unknown = [m for m in self.methods if m not in METHODS]

@@ -46,7 +46,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InconsistentCandidateError, InvalidInputError
-from .projection import _BLOCK, ProjectionInput, ProjectionResult, _degenerate_gamma, _reals
+from .projection import _BLOCK, ProjectionInput, ProjectionResult, _degenerate_gamma, _real, _reals
 
 DEFAULT_TOL = 1e-8
 
@@ -199,8 +199,6 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     exact since ``fl(v - gamma)`` is monotone in v; the terms are formed
     only where the per-coordinate rule runs.
     """
-    if not 0.0 < tol < np.inf:
-        raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
     y, t = inp.y, inp.t
     d = y.size
     x_min, x_max = np.minimum.reduce(x), np.maximum.reduce(x)
@@ -336,7 +334,9 @@ def certify(
     stationarity, so the dual residual is 0 by construction.  Every residual
     is measured at tolerance tol in the same pass as ``certify_result``.
     """
-    x = _candidate(inp, x)
+    x, tol = _candidate(inp, x), _real(tol, "tol")
+    if tol <= 0.0:
+        raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
     slack = _slack(inp.t)  # t - slack > slack for every cap: the masks never overlap
     zero, one = x <= slack, x >= inp.t - slack
     gamma = _estimate_gamma(inp.y, x, inp.t, zero, one)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError
 from .projection import ProjectionInput, _whole
 
 ORACLE_MAX_DIM = 14
@@ -35,11 +35,7 @@ def random_instance(D: int, seed: int) -> ProjectionInput:
     Uses a counter-based generator keyed only by the seed, so the same
     (D, seed) pair yields the same instance on any platform.
     """
-    D, seed = _whole(D, "dimension"), _whole(seed, "seed")
-    if D < 1:
-        raise InvalidInputError(f"dimension must be >= 1, got {D}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed}")
+    D, seed = _whole(D, "dimension", 1), _whole(seed, "seed", 0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     y = rng.random(D) - 0.5
     # floor(u*D + 0.5) rounds half up, keeping s integral and within [0, D]

@@ -45,14 +45,15 @@ from .errors import InconsistentCandidateError, InfeasibleError, InvalidInputErr
 
 
 def _reals(v, name: str) -> np.ndarray:
-    # v as float64, refusing a complex dtype and any entry numpy cannot convert
+    # v as float64; only an integer or a float dtype holds real numbers, so a
+    # complex, bool, text or object array is refused, as is a ragged list
     try:
         v = np.asarray(v)
-        if v.dtype.kind != "c":
-            return v.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} has an entry that is not a real number: {exc}") from None
-    raise InvalidInputError(f"{name} must be real, got the complex dtype {v.dtype}")
+    if v.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} has an entry that is not a real number: dtype {v.dtype}")
+    return v.astype(np.float64, copy=False)
 
 
 def _vector(y) -> np.ndarray:
@@ -69,38 +70,61 @@ def _vector(y) -> np.ndarray:
     return y
 
 
-def _whole(v, name: str) -> int:
-    """v as an int; refuses a value that int() would truncate, such as 2.7, and NaN and inf.
+def _whole(v, name: str, low: int) -> int:
+    """v as an int of at least low; refuses a value that int() would truncate, such as 2.7.
 
-    A value that is not a real number, such as None or 4+0j, and a bool are refused too.
+    NaN, inf, a bool and a value that is not a real number, such as None or
+    4+0j, are refused too.
     """
-    real = isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
-    if not (real and v == v and v not in (math.inf, -math.inf) and int(v) == v):
-        raise InvalidInputError(f"{name} must be a whole number, got {v!r}")
+    real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+    if not (real and v == v and v not in (math.inf, -math.inf) and int(v) == v >= low):
+        raise InvalidInputError(f"{name} must be a whole number >= {low}, got {v!r}")
     return int(v)
 
 
-@dataclass
+def _real(v, name: str) -> float:
+    """v as a finite float; refuses NaN, inf and a value that is not a real number.
+
+    A real number is a ``numbers.Real`` other than a bool, or a 0-d array of an
+    integer or a float dtype: None, text, a complex number and a 1-element
+    array are not.
+    """
+    real = isinstance(v, float) or type(v) is int or (
+        isinstance(v, numbers.Real) and not isinstance(v, bool)
+        or isinstance(v, np.ndarray) and v.shape == () and v.dtype.kind in "iuf"
+    )
+    try:
+        if real and math.isfinite(x := float(v)):
+            return x
+    except OverflowError:  # an int or a fraction past the largest double
+        pass
+    raise InvalidInputError(f"{name} must be a finite real number, got {v!r}")
+
+
+@dataclass(frozen=True)
 class ProjectionInput:
-    """One projection instance: the point y, the sum target s, the cap t."""
+    """One projection instance: the point y, the sum target s, the cap t.
+
+    Frozen: ``dataclasses.replace(inp, s=...)`` makes a new instance, checked
+    again, where an assignment raises ``FrozenInstanceError``.
+    """
 
     y: np.ndarray
     s: float
     t: float = 1.0
 
     def __post_init__(self):
-        self.y = _vector(self.y)
-        self.s = float(self.s)
-        self.t = float(self.t)
-        if not math.isfinite(self.t) or self.t <= 0.0:
-            raise InvalidInputError(f"cap must be a positive finite number, got {self.t}")
-        if not math.isfinite(self.s):
-            raise InvalidInputError("sum target must be finite")
-        if self.s < 0.0 or self.s > self.t * self.y.size:
+        y, s, t = _vector(self.y), _real(self.s, "sum target"), _real(self.t, "cap")
+        if t <= 0.0:
+            raise InvalidInputError(f"cap must be a positive finite number, got {t}")
+        if s < 0.0 or s > t * y.size:
             raise InfeasibleError(
-                f"sum target s={self.s} is infeasible: the set "
-                f"{{sum(x)={self.s}, 0<=x<={self.t}}} is empty for D={self.y.size}"
+                f"sum target s={s} is infeasible: the set "
+                f"{{sum(x)={s}, 0<=x<={t}}} is empty for D={y.size}"
             )
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from cappedproj import (
     random_instance,
 )
 from cappedproj import kkt
+from exact import exact_projection
 
 
 def _result(x, gamma, at_zero, at_cap):
@@ -361,17 +362,9 @@ class TestCertifyResult:
                 certify_result(inp, bad)
 
 
-def _bisection_projection(y, s, t):
-    # independent reference: 200 bisection steps on the shift gamma of
-    # sum(clip(y + gamma, 0, t)) = s, which pins gamma to adjacent doubles
-    lo, hi = -float(y.max()), t - float(y.min())
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.clip(y + mid, 0.0, t).sum() < s:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(y + 0.5 * (lo + hi), 0.0, t)
+def _exact_x(inp):
+    # the exact projection, in rational arithmetic, rounded to doubles
+    return np.array(exact_projection(inp.y, inp.s, inp.t)[1], dtype=np.float64)
 
 
 def _close_to(x, ref, inp):
@@ -433,7 +426,7 @@ class TestScaleRelativeRule:
         moved = 0
         for inp in _outlier_rows(300):
             res = project_capped_box(inp)
-            ref = _bisection_projection(inp.y, inp.s, inp.t)
+            ref = _exact_x(inp)
             assert _close_to(res.x, ref, inp), inp.y.tolist()
             assert certify_result(inp, res)[1].passed, inp.y.tolist()
             assert certify(inp, res.x)[1].passed, inp.y.tolist()
@@ -452,7 +445,7 @@ class TestScaleRelativeRule:
     def test_large_cap_answers_pass(self, y, s, t):
         inp = ProjectionInput(4.0 * np.array(y), 4.0 * s, 4.0 * t)
         res = project_capped_box(inp)
-        assert _close_to(res.x, _bisection_projection(inp.y, inp.s, inp.t), inp)
+        assert _close_to(res.x, _exact_x(inp), inp)
         _, report = certify_result(inp, res)
         assert report.sum_residual > 1e-8  # over an absolute 1e-8, within 1e-8 * s
         assert report.passed

@@ -1,6 +1,7 @@
 """Tests for the exact solver: helpers, golden instances, oracle agreement."""
 
 import bisect
+import dataclasses
 import importlib
 import itertools
 import math
@@ -29,6 +30,7 @@ from cappedproj import (
 )
 from cappedproj import projection
 from cappedproj.projection import _edge_values, _kink_search, _signs_hold, boundary_case_holds
+from exact import exact_projection
 
 
 class TestProjectionInput:
@@ -55,12 +57,28 @@ class TestProjectionInput:
             ProjectionInput([0.0, 0.0], np.nan)
 
     def test_infeasible_targets(self):
-        with pytest.raises(InfeasibleError):
-            ProjectionInput([0.0, 0.0], -1.0)
+        # a finite real s passes the scalar rule; s outside [0, t*D] is infeasible
+        for y in ([0.0, 0.0], [0, 0]):
+            with pytest.raises(InfeasibleError):
+                ProjectionInput(y, -1.0)
         with pytest.raises(InfeasibleError):
             ProjectionInput([0.0, 0.0], 2.5)
         with pytest.raises(InfeasibleError):
             ProjectionInput([0.0, 0.0], 1.2, t=0.5)
+
+    def test_is_frozen_and_replace_checks_again(self):
+        # an assignment would skip the checks: s = 5 at D = 3 or t = 0 would
+        # reach the solver
+        inp = ProjectionInput([0.3, -0.2, 1.5], 2.0)
+        for name, value in (("y", np.zeros(3)), ("s", 5.0), ("t", 0.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inp, name, value)
+        assert (inp.s, inp.t) == (2.0, 1.0)
+        assert dataclasses.replace(inp, s=np.int64(1)).s == 1.0
+        with pytest.raises(InfeasibleError):
+            dataclasses.replace(inp, s=5.0)
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(inp, t=0.0)
 
     def test_feasible_boundaries_accepted(self):
         ProjectionInput([0.0, 0.0], 0.0)
@@ -1203,34 +1221,12 @@ def test_no_cap_block_leaves_no_negative_zero():
     assert res.at_zero[2] and res.x[2] == 0.0 and not np.signbit(res.x[2])
 
 
-def _project_around_outlier(y, j, s, t):
-    """Projection of y whose coordinate j is far below or above the others.
-
-    A negative y[j] ends at 0.  A positive one ends at the cap when s >= t,
-    and otherwise holds all of s while the rest end at 0.  The other
-    coordinates are projected by 300 bisection steps on gamma.
-    """
-    x = np.zeros_like(y)
-    if y[j] > 0:
-        x[j] = min(s, t)
-        s -= x[j]
-    rest = np.delete(y, j)
-    lo, hi = -rest.max(), t - rest.min()
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if np.clip(rest + mid, 0.0, t).sum() < s:
-            lo = mid
-        else:
-            hi = mid
-    x[np.arange(y.size) != j] = np.clip(rest + hi, 0.0, t)
-    return x
-
-
 def test_outliers_are_solved_or_refused_never_wrong():
     # An interior value is y_i + gamma, so an answer whose interior needs a
     # coordinate with |y_i| >= 2^53 * t (a positive outlier and s < t) has
     # no exact double form: only there may the solver raise.  Every other
-    # row is solved to 1e-9 * t, whatever the outlier's size.
+    # row is solved to 1e-9 * t of the exact projection (``exact.py``),
+    # whatever the outlier's size.
     rng = np.random.default_rng(31)
     raised = 0
     for t in (1e-3, 1.0, 1e3):
@@ -1248,7 +1244,8 @@ def test_outliers_are_solved_or_refused_never_wrong():
                         assert sign > 0 and m >= 2.0**53 * t and s < t, (y, s, t)
                         raised += 1
                         continue
-                    gap = np.max(np.abs(x - _project_around_outlier(y, j, s, t)))
+                    ref = np.array(exact_projection(y, s, t)[1], dtype=np.float64)
+                    gap = np.max(np.abs(x - ref))
                     assert gap <= 1e-9 * t, (y, s, t, gap)
     assert raised > 0
 
