@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .projection import ProjectionInput, _real, _vector, _whole
+from .projection import ProjectionInput, _positive, _real, _vector, _whole
 
 
 @dataclass
@@ -26,9 +26,7 @@ class SolverConfig:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        self.tol = _real(self.tol, "tol")
-        if self.tol <= 0.0:
-            raise InvalidInputError(f"tol must be a positive finite number, got {self.tol}")
+        self.tol = _positive(self.tol, "tol")
         self.max_iters = _whole(self.max_iters, "max_iters", 1)
 
 

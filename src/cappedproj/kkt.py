@@ -46,7 +46,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InconsistentCandidateError, InvalidInputError
-from .projection import _BLOCK, ProjectionInput, ProjectionResult, _degenerate_gamma, _real, _reals
+from .projection import _BLOCK, ProjectionInput, ProjectionResult, _degenerate_gamma, _positive, _real, _reals
 
 DEFAULT_TOL = 1e-8
 
@@ -147,6 +147,16 @@ def _candidate(inp, x):
     if x.shape != inp.y.shape:
         raise InvalidInputError("x must have the same length as the instance")
     return x
+
+
+def _mask(m, d: int) -> np.ndarray:
+    # a block mask as it is: a boolean vector of length d, never cast
+    try:
+        if (m := np.asarray(m)).dtype == bool and m.shape == (d,):
+            return m
+    except (TypeError, ValueError):  # a ragged list
+        pass
+    raise InvalidInputError(f"block masks must be boolean vectors of the dimension {d}")
 
 
 # the max of two scalars, NaN when either is NaN, which the builtin drops
@@ -334,9 +344,7 @@ def certify(
     stationarity, so the dual residual is 0 by construction.  Every residual
     is measured at tolerance tol in the same pass as ``certify_result``.
     """
-    x, tol = _candidate(inp, x), _real(tol, "tol")
-    if tol <= 0.0:
-        raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
+    x, tol = _candidate(inp, x), _positive(tol, "tol")
     slack = _slack(inp.t)  # t - slack > slack for every cap: the masks never overlap
     zero, one = x <= slack, x >= inp.t - slack
     gamma = _estimate_gamma(inp.y, x, inp.t, zero, one)
@@ -356,13 +364,13 @@ def certify_result(
     reported partition: ``a`` zeros and ``D - b`` at the cap.  They must not
     overlap, x must be within ``DEFAULT_CLASSIFY_TOL * min(1, t)`` of 0 and
     of the cap on them and inside ``[0, cap]`` elsewhere; these checks run in the same pass
-    as the residuals.
+    as the residuals.  The result comes from the caller, so its fields pass
+    the input rules first: each mask must be a boolean vector of length D,
+    never cast, and ``gamma`` a real number, where a NaN or an inf is
+    measured and reported, not refused.
     """
     x = _candidate(inp, res.x)
-    zero = np.asarray(res.at_zero, dtype=bool)
-    one = np.asarray(res.at_cap, dtype=bool)
-    if zero.shape != x.shape or one.shape != x.shape:
-        raise InvalidInputError(f"block masks must have the dimension {x.size}")
+    zero, one = _mask(res.at_zero, x.size), _mask(res.at_cap, x.size)
     p = res.partition
     n_zero, n_cap = np.count_nonzero(zero), np.count_nonzero(one)
     if n_zero != p.a or n_cap != x.size - p.b:
@@ -370,6 +378,6 @@ def certify_result(
             f"blocks of sizes {n_zero} (zero) and {n_cap} (cap) do not match the "
             f"partition (a={p.a}, b={p.b}) at D={x.size}"
         )
-    gamma = float(res.gamma)
+    gamma = _real(res.gamma, "gamma", finite=False)  # a NaN or an inf is reported, not refused
     report = _measure(inp, x, gamma, zero, one, DEFAULT_TOL, check=True, sizes=(n_zero, n_cap))
     return KktCertificate(inp.y, gamma, zero, one, inp.t), report

@@ -76,29 +76,39 @@ def _whole(v, name: str, low: int) -> int:
     NaN, inf, a bool and a value that is not a real number, such as None or
     4+0j, are refused too.
     """
+    if type(v) is int and v >= low:  # not a bool; skips the costly numbers.Real test
+        return v
     real = isinstance(v, numbers.Real) and not isinstance(v, bool)
     if not (real and v == v and v not in (math.inf, -math.inf) and int(v) == v >= low):
         raise InvalidInputError(f"{name} must be a whole number >= {low}, got {v!r}")
     return int(v)
 
 
-def _real(v, name: str) -> float:
+def _real(v, name: str, *, finite: bool = True) -> float:
     """v as a finite float; refuses NaN, inf and a value that is not a real number.
 
     A real number is a ``numbers.Real`` other than a bool, or a 0-d array of an
     integer or a float dtype: None, text, a complex number and a 1-element
-    array are not.
+    array are not.  ``finite=False`` accepts NaN and inf, for a value that
+    is measured, not solved with.
     """
     real = isinstance(v, float) or type(v) is int or (
         isinstance(v, numbers.Real) and not isinstance(v, bool)
         or isinstance(v, np.ndarray) and v.shape == () and v.dtype.kind in "iuf"
     )
     try:
-        if real and math.isfinite(x := float(v)):
+        if real and (math.isfinite(x := float(v)) or not finite):
             return x
     except OverflowError:  # an int or a fraction past the largest double
         pass
-    raise InvalidInputError(f"{name} must be a finite real number, got {v!r}")
+    raise InvalidInputError(f"{name} must be a {'finite ' if finite else ''}real number, got {v!r}")
+
+
+def _positive(v, name: str) -> float:
+    """v as a positive finite float: a real number by ``_real``'s rule, then > 0."""
+    if (x := _real(v, name)) > 0.0:
+        return x
+    raise InvalidInputError(f"{name} must be a positive finite number, got {x}")
 
 
 @dataclass(frozen=True)
@@ -114,9 +124,7 @@ class ProjectionInput:
     t: float = 1.0
 
     def __post_init__(self):
-        y, s, t = _vector(self.y), _real(self.s, "sum target"), _real(self.t, "cap")
-        if t <= 0.0:
-            raise InvalidInputError(f"cap must be a positive finite number, got {t}")
+        y, s, t = _vector(self.y), _real(self.s, "sum target"), _positive(self.t, "cap")
         if s < 0.0 or s > t * y.size:
             raise InfeasibleError(
                 f"sum target s={s} is infeasible: the set "
@@ -128,22 +136,18 @@ class ProjectionInput:
 
 
 @dataclass
-class SortedInstance:
-    """y sorted ascending and the permutation that maps sorted position to original index."""
-
-    y_sorted: np.ndarray
-    perm: np.ndarray
-
-
-@dataclass
 class Partition:
-    """Split of the sorted coordinates: a zeros, interior up to b, then the cap."""
+    """Split of the sorted coordinates: a zeros, interior up to b, then the cap.
+
+    ``a`` and ``b`` are whole numbers with ``0 <= a <= b``, stored as ints.
+    """
 
     a: int
     b: int
 
     def __post_init__(self):
-        if not 0 <= self.a <= self.b:
+        self.a, self.b = _whole(self.a, "partition's a", 0), _whole(self.b, "partition's b", 0)
+        if self.a > self.b:
             raise InvalidInputError(f"partition needs 0 <= a <= b, got ({self.a}, {self.b})")
 
 
@@ -168,12 +172,11 @@ class ProjectionResult:
     fallback = False
 
 
-def sort_with_permutation(y) -> SortedInstance:
-    """Stable ascending sort of y together with its permutation (``y_sorted = y[perm]``)."""
+def sort_with_permutation(y) -> tuple[np.ndarray, np.ndarray]:
+    """Stable ascending sort of y with its permutation: ``(y_sorted, perm)``, y_sorted = y[perm]."""
     y = _vector(y)
     perm = np.argsort(y, kind="stable")
-    y_sorted = np.ascontiguousarray(y[perm])
-    return SortedInstance(y_sorted=y_sorted, perm=perm)
+    return np.ascontiguousarray(y[perm]), perm
 
 
 def _edge_values(ys: np.ndarray, p: Partition):

@@ -9,6 +9,11 @@ its rule raises ``InvalidInputError``:
 - a real scalar is a finite ``numbers.Real`` other than a bool, or a 0-d
   array of an integer or a float dtype
 - a vector holds an integer or a float dtype
+
+A ``ProjectionResult`` handed to ``certify_result`` comes from outside too:
+its masks are boolean vectors of length D, its ``gamma`` a real number (a
+NaN or an inf is measured and reported, not refused), and its
+``Partition``'s edges whole numbers of at least 0.
 """
 
 import dataclasses
@@ -21,6 +26,7 @@ import pytest
 from cappedproj import (
     BenchPlan,
     InvalidInputError,
+    Partition,
     ProjectionInput,
     SolverConfig,
     certify,
@@ -129,3 +135,94 @@ def test_every_real_number_reads_as_its_float(s, t):
     assert (type(inp.s), type(inp.t), inp.s, inp.t) == (float, float, 2.0, 1.0)
     assert SolverConfig(tol=t).tol == 1.0
     assert certify(inp, X, tol=t)[1].passed
+
+
+def _certify_with(**fields):
+    # certify_result on the solver's own result with the given fields replaced
+    return certify_result(_inp(), dataclasses.replace(project_capped_box(_inp()), **fields))
+
+
+def _certify_bad_mask(field, make):
+    # certify_result with the mask named field replaced by make(that mask)
+    res = project_capped_box(_inp())
+    return certify_result(_inp(), dataclasses.replace(res, **{field: make(getattr(res, field))}))
+
+
+# each mask that is not a boolean vector of length D, made from the solver's
+# own mask m; those of the right length cast to m itself
+NOT_MASKS = {
+    "ints": lambda m: m.astype(int),
+    "floats": lambda m: m * 0.7,
+    "text": lambda m: np.where(m, "x", ""),
+    "objects": lambda m: m.astype(object),
+    "Nones": lambda m: [True if v else None for v in m],
+    "too short": lambda m: m[:-1],
+    "too long": lambda m: np.append(m, False),
+    "2-d": lambda m: m[None],
+    "a bool": lambda m: False,
+    "ragged": lambda m: [m.tolist(), [False]],
+}
+
+NOT_GAMMAS = {
+    "text": "0.45",
+    "bool": True,
+    "None": None,
+    "1-element array": np.array([0.45]),
+}
+
+NOT_EDGES = {"half": 0.5, "None": None, "bool": True, "negative": -1}
+
+RESULT_CASES = (
+    [
+        (
+            f"certify_result {mask} {bad}",
+            lambda k=mask, f=f: _certify_bad_mask(k, f),
+            "boolean vectors of the dimension",
+        )
+        for mask in ("at_zero", "at_cap")
+        for bad, f in NOT_MASKS.items()
+    ]
+    + [
+        (f"certify_result gamma {bad}", lambda v=v: _certify_with(gamma=v), "be a real number")
+        for bad, v in NOT_GAMMAS.items()
+    ]
+    + [
+        (f"Partition a {bad}", lambda v=v: Partition(v, 2), "whole number")
+        for bad, v in NOT_EDGES.items()
+    ]
+    + [
+        (f"Partition b {bad}", lambda v=v: Partition(0, v), "whole number")
+        for bad, v in NOT_EDGES.items()
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "call, message", [c[1:] for c in RESULT_CASES], ids=[c[0] for c in RESULT_CASES]
+)
+def test_a_result_from_outside_passes_the_same_rules(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [math.nan, math.inf, np.float32(0.5), np.int64(0), np.array(0.25), Fraction(1, 2)],
+    ids=["nan", "inf", "float32", "int64", "0-d array", "fraction"],
+)
+def test_a_result_gamma_reads_as_its_float(gamma):
+    cert, report = _certify_with(gamma=gamma)
+    _, as_float = _certify_with(gamma=float(gamma))
+    assert type(cert.gamma) is float
+    assert cert.gamma == float(gamma) or math.isnan(cert.gamma) and math.isnan(gamma)
+    # NaN != NaN, so the reports are compared by their text
+    assert repr(report) == repr(as_float)
+    if not math.isfinite(gamma):
+        assert report.passed is False
+
+
+def test_a_list_of_bools_is_a_mask():
+    res = project_capped_box(_inp())
+    listed = _certify_with(at_zero=res.at_zero.tolist(), at_cap=res.at_cap.tolist())[1]
+    assert listed == certify_result(_inp(), res)[1]
+    assert listed.passed

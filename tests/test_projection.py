@@ -136,13 +136,13 @@ class TestPartition:
 class TestSortWithPermutation:
     def test_sorted_order_and_inverse(self):
         y = np.array([0.3, -0.2, 1.5])
-        inst = sort_with_permutation(y)
-        npt.assert_array_equal(inst.y_sorted, np.sort(y))
-        npt.assert_array_equal(inst.y_sorted, y[inst.perm])
+        y_sorted, perm = sort_with_permutation(y)
+        npt.assert_array_equal(y_sorted, np.sort(y))
+        npt.assert_array_equal(y_sorted, y[perm])
 
     def test_stable_on_ties(self):
-        inst = sort_with_permutation(np.array([1.0, 0.0, 1.0, 0.0]))
-        npt.assert_array_equal(inst.perm, [1, 3, 0, 2])
+        _, perm = sort_with_permutation(np.array([1.0, 0.0, 1.0, 0.0]))
+        npt.assert_array_equal(perm, [1, 3, 0, 2])
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
