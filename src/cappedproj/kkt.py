@@ -90,7 +90,7 @@ class KktCertificate:
         return self._multipliers[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KktReport:
     """Max-norm residual of each optimality condition.
 
@@ -177,19 +177,19 @@ def _on_bound(xb, mb, bound, f) -> bool:
     return not np.count_nonzero(np.logical_and(f, mb, out=f))
 
 
-def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
+def _measure(inp, x, gamma, zero, one, tol, check) -> KktReport:
     """The residual report of (x, gamma) on inp from one pass over blocks.
 
-    The sides are ``(zero, 0, +1)`` and ``(one, t, -1)``, of ``sizes``
-    coordinates each.  Per block each side adds its terms in the order of
-    the whole-array expressions in the ``KktReport`` docstring, so every
-    field is bitwise what they give: ``a + g`` is ``a - alpha`` in IEEE
-    arithmetic, and ``|g * (x - bound)|`` is ``|alpha * x|`` or
-    ``|beta * (t - x)|``.  With ``check``, the masks are checked against x
-    in the same pass, and a misfit raises ``InconsistentCandidateError``.
-    Without it, each side narrows its mask in place to ``sign * g <= 0``,
-    a nonnegative multiplier (``fl(fl(y + gamma) - t) >= 0`` exactly when
-    ``fl(y + gamma) >= t``); a side so emptied adds only +-0 terms.
+    The sides are ``(zero, 0, +1)`` and ``(one, t, -1)``.  Per block each
+    side adds its terms in the order of the whole-array expressions in the
+    ``KktReport`` docstring, so every field is bitwise what they give:
+    ``a + g`` is ``a - alpha`` in IEEE arithmetic, and ``|g * (x - bound)|``
+    is ``|alpha * x|`` or ``|beta * (t - x)|``.  With ``check``, the masks
+    are checked against x in the same pass, and a misfit raises
+    ``InconsistentCandidateError``.  Without it, each side narrows its mask
+    in place to ``sign * g <= 0``, a nonnegative multiplier
+    (``fl(fl(y + gamma) - t) >= 0`` exactly when ``fl(y + gamma) >= t``); a
+    side so emptied adds only +-0 terms.
     Reductions call the ufuncs directly: ``a.max()`` costs twice as much on
     short blocks.
 
@@ -217,7 +217,7 @@ def _measure(inp, x, gamma, zero, one, tol, check, sizes) -> KktReport:
     # each side as (index in _MISFITS, which mask, bound, sign)
     sides = ((1, 0, 0.0, 1.0), (2, 1, t, -1.0))
     if exact:
-        sides = tuple(compress(sides, sizes))
+        sides = tuple(compress(sides, map(np.count_nonzero, (zero, one))))
     # blocks of _BLOCK entries: a handful of buffers this size stay in cache
     # and cost no page faults; each side has two, for g and its slackness
     n = min(d, _BLOCK)
@@ -348,8 +348,7 @@ def certify(
     slack = _slack(inp.t)  # t - slack > slack for every cap: the masks never overlap
     zero, one = x <= slack, x >= inp.t - slack
     gamma = _estimate_gamma(inp.y, x, inp.t, zero, one)
-    sizes = np.count_nonzero(zero), np.count_nonzero(one)
-    report = _measure(inp, x, gamma, zero, one, tol, check=False, sizes=sizes)
+    report = _measure(inp, x, gamma, zero, one, tol, check=False)
     return KktCertificate(inp.y, gamma, zero, one, inp.t), report
 
 
@@ -360,24 +359,16 @@ def certify_result(
 
     Uses the blocks the solver reports, ``res.at_zero`` and ``res.at_cap``,
     instead of re-classifying coordinates, so interior values that happen to
-    sit near a bound are not misread as pinned.  Their sizes must match the
-    reported partition: ``a`` zeros and ``D - b`` at the cap.  They must not
-    overlap, x must be within ``DEFAULT_CLASSIFY_TOL * min(1, t)`` of 0 and
-    of the cap on them and inside ``[0, cap]`` elsewhere; these checks run in the same pass
-    as the residuals.  The result comes from the caller, so its fields pass
-    the input rules first: each mask must be a boolean vector of length D,
-    never cast, and ``gamma`` a real number, where a NaN or an inf is
-    measured and reported, not refused.
+    sit near a bound are not misread as pinned.  They must not overlap, x
+    must be within ``DEFAULT_CLASSIFY_TOL * min(1, t)`` of 0 and of the cap
+    on them and inside ``[0, cap]`` elsewhere; these checks run in the same
+    pass as the residuals.  The result comes from the caller, so its fields
+    pass the input rules first: each mask must be a boolean vector of
+    length D, never cast, and ``gamma`` a real number, where a NaN or an inf
+    is measured and reported, not refused.
     """
     x = _candidate(inp, res.x)
     zero, one = _mask(res.at_zero, x.size), _mask(res.at_cap, x.size)
-    p = res.partition
-    n_zero, n_cap = np.count_nonzero(zero), np.count_nonzero(one)
-    if n_zero != p.a or n_cap != x.size - p.b:
-        raise InconsistentCandidateError(
-            f"blocks of sizes {n_zero} (zero) and {n_cap} (cap) do not match the "
-            f"partition (a={p.a}, b={p.b}) at D={x.size}"
-        )
     gamma = _real(res.gamma, "gamma", finite=False)  # a NaN or an inf is reported, not refused
-    report = _measure(inp, x, gamma, zero, one, DEFAULT_TOL, check=True, sizes=(n_zero, n_cap))
+    report = _measure(inp, x, gamma, zero, one, DEFAULT_TOL, check=True)
     return KktCertificate(inp.y, gamma, zero, one, inp.t), report

@@ -135,41 +135,43 @@ class ProjectionInput:
         object.__setattr__(self, "t", t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Partition:
     """Split of the sorted coordinates: a zeros, interior up to b, then the cap.
 
-    ``a`` and ``b`` are whole numbers with ``0 <= a <= b``, stored as ints.
+    An output only: ``ProjectionResult.partition`` reads it from the masks.
     """
 
     a: int
     b: int
 
-    def __post_init__(self):
-        self.a, self.b = _whole(self.a, "partition's a", 0), _whole(self.b, "partition's b", 0)
-        if self.a > self.b:
-            raise InvalidInputError(f"partition needs 0 <= a <= b, got ({self.a}, {self.b})")
 
-
-@dataclass
+@dataclass(frozen=True)
 class ProjectionResult:
-    """Solution in original index order plus the accepted partition data.
+    """Solution in original index order plus the blocks pinned at 0 and at the cap.
 
-    ``at_zero`` and ``at_cap`` are boolean masks in the input order: the
-    ``a`` coordinates pinned at 0 and the ``D - b`` pinned at the cap, where
-    ``x`` is exactly 0 and exactly the cap.  ``fallback`` is a class-level
-    False, not a field: a split that fails its sign tests raises
+    ``at_zero`` and ``at_cap`` are boolean masks in the input order, where
+    ``x`` is exactly 0 and exactly the cap.  ``partition`` is read from
+    them, so each fact is stored once: ``a`` coordinates at 0 and ``D - b``
+    at the cap.  Frozen, as ``ProjectionInput`` is: an assignment raises
+    ``FrozenInstanceError``.  ``fallback`` is a class-level False, not a
+    field: a split that fails its sign tests raises
     ``InconsistentCandidateError`` instead of being returned.  Only the
     benchmark in ``perfbench/`` still reads it.
     """
 
     x: np.ndarray
     gamma: float
-    partition: Partition
     at_zero: np.ndarray
     at_cap: np.ndarray
 
     fallback = False
+
+    @property
+    def partition(self) -> Partition:
+        """``Partition(a, b)`` counted from the masks: a at 0, D - b at the cap."""
+        a, pinned = np.count_nonzero(self.at_zero), np.count_nonzero(self.at_cap)
+        return Partition(int(a), int(np.size(self.at_cap) - pinned))
 
 
 def sort_with_permutation(y) -> tuple[np.ndarray, np.ndarray]:
@@ -179,10 +181,9 @@ def sort_with_permutation(y) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(y[perm]), perm
 
 
-def _edge_values(ys: np.ndarray, p: Partition):
+def _edge_values(ys: np.ndarray, a: int, b: int):
     # the sorted values the sign tests read, y_a, y_{a+1}, y_b and y_{b+1}
     # (1-based), with the virtual y_0 = -inf and y_{D+1} = +inf
-    a, b = p.a, p.b
     return (
         ys.item(a - 1) if a else -math.inf,
         ys.item(a),
@@ -193,7 +194,7 @@ def _edge_values(ys: np.ndarray, p: Partition):
 
 def _signs_hold(edges, gamma: float, eps: float, t: float) -> bool:
     # y_a + gamma <= 0 < y_{a+1} + gamma and y_b + gamma < t <= y_{b+1} +
-    # gamma, each widened by eps, for edges = _edge_values(ys, p) with
+    # gamma, each widened by eps, for edges = _edge_values(ys, a, b) with
     # 0 <= a < b <= D.  A virtual neighbor's test reads -inf or +inf (NaN at
     # an infinite gamma), which passes, as skipping it would.
     below, first, last, above = edges
@@ -608,7 +609,7 @@ def _sum_rounding(d: int, total: float) -> float:
 
 
 def _assemble(
-    y: np.ndarray, ys: np.ndarray, p: Partition, gamma: float, s: float, t: float, edges
+    y: np.ndarray, ys: np.ndarray, a: int, b: int, gamma: float, s: float, t: float, edges
 ) -> ProjectionResult:
     # The kink tests read only ys[k], so a and b each start a group of equal
     # values (or equal D): the blocks are exact comparisons against them, and
@@ -616,9 +617,8 @@ def _assemble(
     # which is overwritten, the masks having read it: a second array of D
     # doubles per solve would be fresh memory, and page faults, whenever the
     # allocator has handed the last one back to the system.  ``edges`` are
-    # ``_edge_values(ys, p)``, read before ys is overwritten.
+    # ``_edge_values(ys, a, b)``, read before ys is overwritten.
     d = y.size
-    a, b = p.a, p.b
     at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
     if b > a:
@@ -659,7 +659,7 @@ def _assemble(
             gamma += delta
     else:
         x = np.multiply(at_cap, t, out=ys)
-    return ProjectionResult(x=x, gamma=float(gamma), partition=p, at_zero=at_zero, at_cap=at_cap)
+    return ProjectionResult(x=x, gamma=float(gamma), at_zero=at_zero, at_cap=at_cap)
 
 
 def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
@@ -675,22 +675,21 @@ def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
     # search then bisects, and the sign tests refuse a split it spoiled.
     with np.errstate(over="ignore", invalid="ignore"):
         ys, (a, b, gamma) = _search(y, s, t)
-        p = Partition(a, b)
-        if p.a == p.b:
+        if a == b:
             # t*(D - a) reads no y, so its miss of s is judged at the scale of
             # s and t: at |y|'s, [0, 1] would pass for y = [0.1, 1e17], s = 0.5
             eps = 1e-9 * max(t, s)
-            ok = boundary_case_holds(ys, p.a, s, eps, t)
-            res = _assemble(y, ys, p, gamma, s, t, None)
+            ok = boundary_case_holds(ys, a, s, eps, t)
+            res = _assemble(y, ys, a, b, gamma, s, t, None)
         else:
             # 1e-9 * max(t, max|y|), with max|y| read off the sorted extremes
             eps = 1e-9 * max(t, abs(ys.item(0)), abs(ys.item(-1)))
-            edges = _edge_values(ys, p)  # read before x overwrites ys
-            res = _assemble(y, ys, p, gamma, s, t, edges)
+            edges = _edge_values(ys, a, b)  # read before x overwrites ys
+            res = _assemble(y, ys, a, b, gamma, s, t, edges)
             ok = _signs_hold(edges, res.gamma, eps, t)
     if not ok:
         raise InconsistentCandidateError(
-            f"split (a={p.a}, b={p.b}) with gamma={res.gamma!r} fails the optimality "
+            f"split (a={a}, b={b}) with gamma={res.gamma!r} fails the optimality "
             f"sign tests at eps={eps:.3g}"
         )
     return res

@@ -11,9 +11,9 @@ its rule raises ``InvalidInputError``:
 - a vector holds an integer or a float dtype
 
 A ``ProjectionResult`` handed to ``certify_result`` comes from outside too:
-its masks are boolean vectors of length D, its ``gamma`` a real number (a
-NaN or an inf is measured and reported, not refused), and its
-``Partition``'s edges whole numbers of at least 0.
+its masks are boolean vectors of length D and its ``gamma`` a real number (a
+NaN or an inf is measured and reported, not refused).  Its partition is read
+from the masks, so no entry point takes one.
 """
 
 import dataclasses
@@ -26,7 +26,6 @@ import pytest
 from cappedproj import (
     BenchPlan,
     InvalidInputError,
-    Partition,
     ProjectionInput,
     SolverConfig,
     certify,
@@ -170,8 +169,6 @@ NOT_GAMMAS = {
     "1-element array": np.array([0.45]),
 }
 
-NOT_EDGES = {"half": 0.5, "None": None, "bool": True, "negative": -1}
-
 RESULT_CASES = (
     [
         (
@@ -185,14 +182,6 @@ RESULT_CASES = (
     + [
         (f"certify_result gamma {bad}", lambda v=v: _certify_with(gamma=v), "be a real number")
         for bad, v in NOT_GAMMAS.items()
-    ]
-    + [
-        (f"Partition a {bad}", lambda v=v: Partition(v, 2), "whole number")
-        for bad, v in NOT_EDGES.items()
-    ]
-    + [
-        (f"Partition b {bad}", lambda v=v: Partition(0, v), "whole number")
-        for bad, v in NOT_EDGES.items()
     ]
 )
 

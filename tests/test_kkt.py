@@ -11,7 +11,6 @@ from cappedproj import (
     InconsistentCandidateError,
     InvalidInputError,
     KktReport,
-    Partition,
     ProjectionInput,
     ProjectionResult,
     certify,
@@ -27,9 +26,7 @@ from exact import exact_projection
 def _result(x, gamma, at_zero, at_cap):
     # a hand-built solver output: x with the blocks it claims, in input order
     at_zero, at_cap = np.array(at_zero, dtype=bool), np.array(at_cap, dtype=bool)
-    d = at_zero.size
-    partition = Partition(int(at_zero.sum()), d - int(at_cap.sum()))
-    return ProjectionResult(np.array(x, dtype=float), gamma, partition, at_zero, at_cap)
+    return ProjectionResult(np.array(x, dtype=float), gamma, at_zero, at_cap)
 
 
 def _certify_given(y, x, gamma, at_zero, at_cap, t=1.0):
@@ -348,17 +345,20 @@ class TestCertifyResult:
         assert report.passed
         assert report.max_residual <= 1e-12
 
-    def test_blocks_that_disagree_with_the_partition_raise(self):
+    def test_wrong_blocks_are_measured_or_raise(self):
         inp = ProjectionInput(np.array([0.3, -0.2, 1.5]), 2.0)
         res = project_capped_simplex(inp)
         assert (res.partition.a, res.partition.b) == (0, 2)
-        no_cap = np.zeros(3, dtype=bool)
-        for bad in (
-            dataclasses.replace(res, at_cap=no_cap),  # D - b = 1 pinned, 0 reported
-            dataclasses.replace(res, at_zero=np.array([False, True, False])),  # a = 0
-            dataclasses.replace(res, at_cap=np.array([True, False, False])),  # x[0] = 0.75
+        # x[2] = 1 claimed interior is a claim the certificate measures: its
+        # stationarity term reads |1 - 1.5 - 0.45| = 0.95
+        no_cap = dataclasses.replace(res, at_cap=np.zeros(3, dtype=bool))
+        report = certify_result(inp, no_cap)[1]
+        assert not report.passed and report.stationarity_residual >= 0.9
+        for bad, message in (
+            (dataclasses.replace(res, at_zero=np.array([False, True, False])), "zero block"),
+            (dataclasses.replace(res, at_cap=np.array([True, False, False])), "pinned block"),
         ):
-            with pytest.raises(InconsistentCandidateError):
+            with pytest.raises(InconsistentCandidateError, match=message):
                 certify_result(inp, bad)
 
 

@@ -6,6 +6,7 @@ the baselines and the oracle load on the first read of one of their names
 its module defines, and nothing else may leak through that lookup.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -77,3 +78,11 @@ def test_submodules_resolve_as_attributes():
 def test_unknown_and_private_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(cappedproj, name)
+
+
+def test_inputs_and_results_are_frozen_dataclasses():
+    # values: a caller cannot assign a field that the checks or the
+    # certificate relied on
+    for name in ("ProjectionInput", "Partition", "ProjectionResult", "KktReport"):
+        cls = getattr(cappedproj, name)
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, name

@@ -127,10 +127,24 @@ def test_a_finite_vector_whose_square_overflows_is_accepted(d):
             ProjectionInput(z, 1.0)
 
 
-class TestPartition:
-    def test_a_past_b_rejected(self):
-        with pytest.raises(InvalidInputError, match="0 <= a <= b"):
-            Partition(2, 1)
+class TestProjectionResult:
+    def test_a_caller_cannot_hand_in_a_partition(self):
+        # the partition is read from the masks, so no copy of it can disagree
+        # with them, and a frozen result keeps the masks it was built with
+        res = project_capped_simplex(ProjectionInput([0.3, -0.2, 1.5], 2.0))
+        assert res.partition == Partition(0, 2)
+        for partition in ((0, 2), None):
+            with pytest.raises(TypeError):
+                dataclasses.replace(res, partition=partition)
+        for name, value in (("gamma", 0.5), ("partition", Partition(0, 3))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(res, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.partition.b = 2.5
+        moved = dataclasses.replace(res, at_cap=np.zeros(3, dtype=bool))
+        assert moved.partition == Partition(0, 3)
+        moved = dataclasses.replace(res, at_zero=np.array([False, True, False]))
+        assert moved.partition == Partition(1, 2)
 
 
 class TestSortWithPermutation:
@@ -173,7 +187,7 @@ class TestGammaForPartition:
 
 def _signs(ys, p, gamma, eps):
     # the sign tests as project_capped_box runs them, at the unit cap
-    return _signs_hold(_edge_values(ys, p), gamma, eps, 1.0)
+    return _signs_hold(_edge_values(ys, p.a, p.b), gamma, eps, 1.0)
 
 
 class TestPartitionIsOptimal:
