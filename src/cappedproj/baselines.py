@@ -44,12 +44,17 @@ def project_simplex(y, s: float) -> np.ndarray:
 
     Sort descending, find the largest k whose threshold keeps the top k
     coordinates positive, and shift those by it; the rest clip to zero.
+    A shift of y does not move the projection, so y is first shifted to a
+    maximum of 0: the top coordinate's test then reads s > 0, so k >= 1.
+    Unshifted, ``cumsum(y) - s`` rounds s away at y = [1e17, 1e17], which
+    leaves no k and a threshold of 0/0.
     """
     y, s = _vector(y), _real(s, "sum target")
     if s < 0.0:
         raise InvalidInputError(f"sum target must be nonnegative, got {s}")
     if s == 0.0:
         return np.zeros_like(y)
+    y = y - y.max()
     u = np.sort(y)[::-1]
     cssv = np.cumsum(u) - s
     ks = np.arange(1, y.size + 1)

@@ -259,6 +259,27 @@ def _sum(ys: np.ndarray, sums, lo: int, hi: int) -> float:
     return float(np.add.reduce(ys[lo:hi]))
 
 
+class _Work:
+    """The work record of one solve, filled as it runs; ``project_capped_box`` makes one per solve.
+
+    ``searches``: a ``(size, wins, probes, bounds)`` entry per kink search
+    (the sample's, the windows', the full sort's after a miss), appended as
+    it starts: the buffer's size, its ``wins``, the index in ``probes`` of
+    its first probe, and the zero edge's ``(below, above)`` on b, None
+    until that edge ends.  ``probes``: ``(cap, gamma, f, lo, hi, part)`` per
+    evaluation of f that returned.  ``tie``, ``total`` and ``recentred``:
+    whether ``_assemble`` wrote the blocks by mask on a rounding tie, the
+    sum of x it tested (None with no interior), and whether it re-centered.
+    """
+
+    __slots__ = ("searches", "probes", "tie", "total", "recentred")
+
+    def __init__(self):
+        self.searches, self.probes = [], []
+        self.tie = self.recentred = False
+        self.total = None
+
+
 class _Miss(Exception):
     """A probe or a block edge of the kink search fell outside the sorted windows, or none were placed."""
 
@@ -297,7 +318,7 @@ def _f(ys: np.ndarray, sums, t: float, gamma: float, spans=None):
     return t * (d - hi) + part + (hi - lo) * gamma, lo, hi, part
 
 
-def _block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
+def _block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, probes):
     """First k in [lo, hi) whose edge test holds (hi if none), the last shift predicted, and b's bracket.
 
     The caller knows the edge lies in ``[lo, hi]``.  The zero edge
@@ -319,8 +340,9 @@ def _block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
     ``t - gamma`` rounded down and it lies above, the bound is left open).
     No evaluation of f.  The third value returned is ``(below, above)``: b
     lies in ``[max(a, below), max(a, above)]``; the cap edge's own probes
-    leave it ``(0, D)``.  ``kept`` maps the interior range ``(lo, hi)`` of
-    every probe to its sum, for the shift to reuse.
+    leave it ``(0, D)``.  Every probe is appended to ``probes``, the
+    solve's log (``_Work.probes``), with its interior range and sum, for the
+    shift to reuse.
 
     When ys is sorted only in parts, ``wins`` is ``(spans, windows)``: f
     trusts only ranks in the sorted spans, and the bracket is cut to the
@@ -353,7 +375,7 @@ def _block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
                     k = min(g, hi - 1)
         gamma = shift - ys.item(k)
         v, i, j, part = _f(ys, sums, t, gamma, spans)
-        kept[i, j] = part
+        probes.append((cap, gamma, v, i, j, part))
         if (v <= s) if cap else (v < s):
             hi = k
         else:
@@ -377,7 +399,7 @@ def _block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
     return lo, guess, (below, above)
 
 
-def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
+def _kink_search(ys: np.ndarray, s: float, t: float, work: _Work, wins=None):
     """Split (a, b) of the sorted coordinates, and its shift, for the sum target s and cap t.
 
     ``f(gamma) = sum(clip(y + gamma, 0, t))`` is nondecreasing and piecewise
@@ -406,9 +428,11 @@ def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
     ``gamma = (s - t*(D - b) - sum(y_a..y_b)) / (b - a)``, the interior
     summed as f sums it.  Where any probe already summed exactly ``[a, b)``,
     as the zero edge's probe at kink ``a - 1`` or the cap edge's at ``b``
-    mostly has, its sum is read from ``kept``: the same ``_sum`` over the
-    same range, so the same bits.  An all-pinned split returns
-    ``_degenerate_gamma``.
+    mostly has, its sum is read from this search's probes in the work
+    record ``work``: the same ``_sum`` over the same range, so the same
+    bits.  An all-pinned split returns ``_degenerate_gamma``.  The search
+    appends its entry to ``work.searches`` as it starts, and every
+    evaluation of f to ``work.probes``.
 
     ``wins`` is ``(spans, windows)`` when ys is sorted only in the spans
     ``(lo, hi)`` (``_windows``): each edge is searched in its window, and a
@@ -416,20 +440,25 @@ def _kink_search(ys: np.ndarray, s: float, t: float, wins=None):
     None is the widest window, ys sorted throughout.  The sums need no
     order: the positions between two spans hold the values of those ranks.
     """
-    d = ys.size
+    d, probes, first = ys.size, work.probes, len(work.probes)
+    work.searches.append((d, wins, first, None))
     a = b = d - round(s / t)
     if not boundary_case_holds(ys, a, s, 0.0, t):
         sums = _block_sums(ys)
-        kept = {}
-        a, guess, (below, above) = _block_edge(
-            ys, sums, s, t, False, 0, d, (s - _sum(ys, sums, 0, d)) / d, wins, kept
-        )
-        lo = max(a, below)
-        b = _block_edge(ys, sums, s, t, True, lo, max(lo, above), guess, wins, kept)[0]
+        guess = (s - _sum(ys, sums, 0, d)) / d
+        a, guess, bounds = _block_edge(ys, sums, s, t, False, 0, d, guess, wins, probes)
+        work.searches[-1] = d, wins, first, bounds
+        lo = max(a, bounds[0])
+        b = _block_edge(ys, sums, s, t, True, lo, max(lo, bounds[1]), guess, wins, probes)[0]
     if a == b:  # the sorted neighbours of a: the largest zero, the smallest cap
         return a, a, _degenerate_gamma(ys[max(a - 1, 0) : a], ys[a : a + 1], t)
-    # a probe that summed exactly [a, b) took the same _sum: reuse its bits
-    part = kept[a, b] if (a, b) in kept else _sum(ys, sums, a, b)
+    # a probe of this search that summed exactly [a, b) took the same _sum:
+    # reuse its bits
+    for _, _, _, i, j, part in probes[first:]:
+        if i == a and j == b:
+            break
+    else:
+        part = _sum(ys, sums, a, b)
     return a, b, (s - t * (d - b) - part) / (b - a)
 
 
@@ -490,7 +519,7 @@ def _cut(ys: np.ndarray, lo: int, hi: int, cuts) -> None:
                 ys[i], ys[j] = ys[j], ys[i]
 
 
-def _windows(ys: np.ndarray, s: float, t: float):
+def _windows(ys: np.ndarray, s: float, t: float, work: _Work):
     """Sorts the parts of ``ys``, a copy of y, that the kink search reads; returns its ``wins``.
 
     A strided sample of about ``_SAMPLE`` values of ys, taken before any
@@ -531,7 +560,7 @@ def _windows(ys: np.ndarray, s: float, t: float):
         return ends, ends
     sample = np.sort(ys[:: d // _SAMPLE])
     m = sample.size
-    a, b, g = _kink_search(sample, s * m / d, t)
+    a, b, g = _kink_search(sample, s * m / d, t, work)
     # sd^2 = E[c^2] - E[c]^2 over c = clip(sample + g, 0, t), of which the
     # m - b at the cap are t and the interior is z
     z = sample[a:b] + g
@@ -574,18 +603,19 @@ def _windows(ys: np.ndarray, s: float, t: float):
     return tuple(merged), tuple(windows)
 
 
-def _search(y: np.ndarray, s: float, t: float):
+def _search(y: np.ndarray, s: float, t: float, work: _Work):
     """The buffer the kink search ran on, and its ``(a, b, gamma)``.
 
     The buffer is a copy of y, sorted in the spans ``_windows`` places (all
     of it up to D = 2^14); a miss sorts the rest and reruns the same search.
+    Every search logs its work in ``work``.
     """
     ys = y.copy()
     try:
-        return ys, _kink_search(ys, s, t, _windows(ys, s, t))
+        return ys, _kink_search(ys, s, t, work, _windows(ys, s, t, work))
     except _Miss:
         ys.sort()
-        return ys, _kink_search(ys, s, t)
+        return ys, _kink_search(ys, s, t, work)
 
 
 def _sum_rounding(d: int, total: float) -> float:
@@ -609,7 +639,7 @@ def _sum_rounding(d: int, total: float) -> float:
 
 
 def _assemble(
-    y: np.ndarray, ys: np.ndarray, a: int, b: int, gamma: float, s: float, t: float, edges
+    y: np.ndarray, ys: np.ndarray, a: int, b: int, gamma: float, s: float, t: float, edges, work: _Work
 ) -> ProjectionResult:
     # The kink tests read only ys[k], so a and b each start a group of equal
     # values (or equal D): the blocks are exact comparisons against them, and
@@ -617,7 +647,8 @@ def _assemble(
     # which is overwritten, the masks having read it: a second array of D
     # doubles per solve would be fresh memory, and page faults, whenever the
     # allocator has handed the last one back to the system.  ``edges`` are
-    # ``_edge_values(ys, a, b)``, read before ys is overwritten.
+    # ``_edge_values(ys, a, b)``, read before ys is overwritten.  With an
+    # interior, ``work`` gets the tie, the sum tested and the re-centering.
     d = y.size
     at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
@@ -634,7 +665,8 @@ def _assemble(
         shift = gamma + 0.0
         x = np.add(y, shift, out=ys)
         below, first, last, above = (e + shift for e in edges)
-        if (a or b < d) and not (below <= 0.0 <= first and last <= t <= above):
+        tie = (a > 0 or b < d) and not (below <= 0.0 <= first and last <= t <= above)
+        if tie:
             np.putmask(x, at_zero, 0.0)
             np.putmask(x, at_cap, t)
         elif a and b < d:
@@ -651,12 +683,14 @@ def _assemble(
         # written back to exactly 0 and t by mask, as on a rounding tie.  A
         # shift that is not finite leaves gamma so, which the sign tests refuse.
         total = float(x.sum())
-        if abs(s - total) > _sum_rounding(d, total):
+        recentred = abs(s - total) > _sum_rounding(d, total)
+        if recentred:
             delta = (s - total) / (b - a)
             x += delta
             np.putmask(x, at_zero, 0.0)
             np.putmask(x, at_cap, t)
             gamma += delta
+        work.tie, work.total, work.recentred = tie, total, recentred
     else:
         x = np.multiply(at_cap, t, out=ys)
     return ProjectionResult(x=x, gamma=float(gamma), at_zero=at_zero, at_cap=at_cap)
@@ -670,22 +704,27 @@ def project_capped_box(inp: ProjectionInput) -> ProjectionResult:
     kink search is checked once by its sign tests, each at the scale of the
     values it reads; if they fail, ``InconsistentCandidateError`` is raised.
     """
+    return _solve(inp, _Work())
+
+
+def _solve(inp: ProjectionInput, work: _Work) -> ProjectionResult:
+    """``project_capped_box``, logging what the solve did in the work record ``work``."""
     y, s, t = inp.y, inp.s, inp.t
     # Where a sum of y passes DBL_MAX it reads inf or NaN, not a warning: the
     # search then bisects, and the sign tests refuse a split it spoiled.
     with np.errstate(over="ignore", invalid="ignore"):
-        ys, (a, b, gamma) = _search(y, s, t)
+        ys, (a, b, gamma) = _search(y, s, t, work)
         if a == b:
             # t*(D - a) reads no y, so its miss of s is judged at the scale of
             # s and t: at |y|'s, [0, 1] would pass for y = [0.1, 1e17], s = 0.5
             eps = 1e-9 * max(t, s)
             ok = boundary_case_holds(ys, a, s, eps, t)
-            res = _assemble(y, ys, a, b, gamma, s, t, None)
+            res = _assemble(y, ys, a, b, gamma, s, t, None, work)
         else:
             # 1e-9 * max(t, max|y|), with max|y| read off the sorted extremes
             eps = 1e-9 * max(t, abs(ys.item(0)), abs(ys.item(-1)))
             edges = _edge_values(ys, a, b)  # read before x overwrites ys
-            res = _assemble(y, ys, a, b, gamma, s, t, edges)
+            res = _assemble(y, ys, a, b, gamma, s, t, edges, work)
             ok = _signs_hold(edges, res.gamma, eps, t)
     if not ok:
         raise InconsistentCandidateError(

@@ -63,6 +63,12 @@ class TestProjectSimplex:
                 project_simplex(y, s), enumerate_oracle(y, s), atol=1e-10
             )
 
+    @pytest.mark.parametrize("y, want", [([1e17, 1e17], [0.5, 0.5]), ([1e16, 1e16, 3.0], [0.5, 0.5, 0.0])])
+    def test_large_magnitudes_keep_the_sum(self, y, want):
+        # cumsum(y) - s rounds s away at this scale unless y is shifted
+        # first: no threshold was then positive, and the answer read 0/0
+        npt.assert_array_equal(project_simplex(np.array(y), 1.0), want)
+
     def test_negative_target_rejected(self):
         with pytest.raises(InvalidInputError):
             project_simplex(np.array([0.1]), -0.5)

@@ -6,6 +6,7 @@ the baselines and the oracle load on the first read of one of their names
 its module defines, and nothing else may leak through that lookup.
 """
 
+import ast
 import dataclasses
 import json
 import os
@@ -19,6 +20,7 @@ import cappedproj
 from cappedproj import baselines, bench, errors, kkt, oracle, projection
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 # in import order: each module imports only modules before it, so the first
 # that holds a name defines it
 MODULES = (errors, projection, kkt, oracle, baselines, bench)
@@ -86,3 +88,34 @@ def test_inputs_and_results_are_frozen_dataclasses():
     for name in ("ProjectionInput", "Partition", "ProjectionResult", "KktReport"):
         cls = getattr(cappedproj, name)
         assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, name
+
+
+# The spies on the solver's private names, or on numpy, that the tests keep,
+# as (function, name): each forces a path or pins the cost model.  A count
+# of the solver's work is read from its work record (projection._Work), so
+# that a new parameter on a private function breaks no test that counts.
+SPIES = {
+    ("test_wrong_split_raises", "_kink_search"),  # a wrong split
+    ("_full_sort", "_windows"),  # the full-sort path
+    ("test_windows_too_narrow_fall_back_to_the_full_sort", "_positions"),  # a miss
+    ("test_cut_partitions_first_where_least_is_left_to_partition", "_cut"),  # the cost model's order
+    ("test_the_shift_reuses_the_interior_sum_of_a_probe", "_sum"),  # a sum not taken, which no record holds
+}
+
+
+def test_no_spy_counts_the_solvers_work():
+    # every setattr on cappedproj.projection or on numpy in the tests, through
+    # monkeypatch, a monkeypatch.context() or setattr, by its function
+    spies = []
+    for path in sorted(TESTS.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                calls = (c for c in ast.walk(fn) if isinstance(c, ast.Call))
+                for first, second, *_ in (c.args for c in calls if ast.unparse(c.func).endswith("setattr")):
+                    if isinstance(first, ast.Constant):  # setattr("numpy.putmask", value)
+                        where, _, name = first.value.rpartition(".")
+                    else:
+                        where, name = ast.unparse(first), getattr(second, "value", None)
+                    if where in ("projection", "cappedproj.projection", "np", "numpy"):
+                        spies.append((getattr(fn, "name", "<module>"), name))
+    assert sorted(spies) == sorted(SPIES)

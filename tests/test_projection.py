@@ -29,7 +29,7 @@ from cappedproj import (
     sort_with_permutation,
 )
 from cappedproj import projection
-from cappedproj.projection import _edge_values, _kink_search, _signs_hold, boundary_case_holds
+from cappedproj.projection import _edge_values, _kink_search, _signs_hold, _Work, boundary_case_holds
 from exact import exact_projection
 
 
@@ -167,22 +167,22 @@ class TestGammaForPartition:
     # the kink search returns each split with the shift that solves its sum
     def test_three_point_shift(self):
         ys = np.sort(np.array([-0.2, 0.3, 1.5]))
-        assert _kink_search(ys, 2.0, 1.0) == (0, 2, 0.45)
+        assert _kink_search(ys, 2.0, 1.0, _Work()) == (0, 2, 0.45)
 
     def test_all_interior_is_mean_shift(self):
         y = np.array([0.3, -0.1, 0.4, 0.2])
-        a, b, g = _kink_search(np.sort(y), 2.0, 1.0)
+        a, b, g = _kink_search(np.sort(y), 2.0, 1.0, _Work())
         assert (a, b) == (0, 4)
         npt.assert_allclose(g, (2.0 - y.sum()) / 4.0, atol=1e-15)
 
     def test_single_interior_coordinate(self):
         ys = np.sort(np.array([-2.0, 0.5, 3.0]))
-        assert _kink_search(ys, 1.5, 1.0) == (1, 2, 0.0)
+        assert _kink_search(ys, 1.5, 1.0, _Work()) == (1, 2, 0.0)
 
     def test_interior_summed_directly_next_to_an_outlier(self):
         # prefix[4] - prefix[1] rounds to 0 at 1e17; the interior sums to 0.6
         ys = np.sort(np.array([-1e17, 0.1, 0.2, 0.3]))
-        assert _kink_search(ys, 1.5, 1.0) == (1, 4, 0.3)
+        assert _kink_search(ys, 1.5, 1.0, _Work()) == (1, 4, 0.3)
 
 
 def _signs(ys, p, gamma, eps):
@@ -389,32 +389,19 @@ def test_matches_oracle_on_ties_and_wide_values(inst):
 def test_wrong_split_raises(monkeypatch):
     # (0, 3), with the shift 0 that solves its sum, puts -2 in the interior
     # although the projection pins it at 0
-    monkeypatch.setattr(projection, "_kink_search", lambda ys, s, t, wins=None: (0, 3, 0.0))
+    monkeypatch.setattr(projection, "_kink_search", lambda *args, **kwargs: (0, 3, 0.0))
     with pytest.raises(InconsistentCandidateError):
         project_capped_simplex(ProjectionInput([-2.0, 0.5, 3.0], 1.5))
 
 
-@pytest.fixture
-def f_calls(monkeypatch):
-    # counts every evaluation of f the kink search makes, guided or
-    # bisecting, per block edge: [zero edge, cap edge]
-    calls, edge = [0, 0], [0]
-    f, block_edge = projection._f, projection._block_edge
-
-    def searching(ys, sums, s, t, cap, *args):
-        edge[0] = int(cap)
-        return block_edge(ys, sums, s, t, cap, *args)
-
-    def counted(*args):
-        calls[edge[0]] += 1
-        return f(*args)
-
-    monkeypatch.setattr(projection, "_block_edge", searching)
-    monkeypatch.setattr(projection, "_f", counted)
-    return calls
+def _solved(inp):
+    # a solve's result and the work record it filled: its kink searches, its
+    # evaluations of f (probes) and its assembly
+    work = _Work()
+    return projection._solve(inp, work), work
 
 
-def test_search_work_stays_within_two_bisections(f_calls):
+def test_search_work_stays_within_two_bisections():
     # on these inputs the guided probes land on or next to each block edge,
     # so a solve evaluates f no more often than two bisections over the D
     # kinks would, 2 * ceil(log2(D + 1)), ties or not
@@ -425,10 +412,9 @@ def test_search_work_stays_within_two_bisections(f_calls):
         for ties in (False, True):
             y = rng.integers(0, 4, d) / 4.0 if ties else rng.normal(size=d)
             for s in (float(rng.integers(0, d + 1)), float(rng.uniform(0.0, d))):
-                f_calls[:] = 0, 0
-                project_capped_simplex(ProjectionInput(y, s))
-                assert sum(f_calls) <= bound, (d, ties, s, f_calls)
-                total += sum(f_calls)
+                calls = len(_solved(ProjectionInput(y, s))[1].probes)
+                assert calls <= bound, (d, ties, s, calls)
+                total += calls
     # the count is live, and far below the 705 evaluations of two plain
     # bisections on these 52 solves
     assert 0 < total <= 300
@@ -464,7 +450,7 @@ def _adversarial_y(rng, d):
     return np.repeat(rng.normal(size=d // 50 + 1), 50)[:d]
 
 
-def test_guided_search_matches_two_bisections_on_adversarial_inputs(f_calls):
+def test_guided_search_matches_two_bisections_on_adversarial_inputs():
     rng = np.random.default_rng(808)
     excess = []
     for _ in range(2000):
@@ -473,12 +459,12 @@ def test_guided_search_matches_two_bisections_on_adversarial_inputs(f_calls):
         t = 10.0 ** rng.uniform(-2.0, 2.0)
         s = t * (float(rng.integers(d + 1)) if rng.random() < 0.5 else rng.uniform(0.0, d))
         ys = np.sort(y)
-        f_calls[:] = 0, 0
-        split = projection._kink_search(ys, s, t)[:2]
+        work = _Work()
+        split = projection._kink_search(ys, s, t, work)[:2]
         assert split == _two_bisections(ys, s, t), (d, s, t)
         bisections = 2 * math.ceil(math.log2(d + 1))
-        assert sum(f_calls) <= bisections + 2 * projection._GUIDED, (d, s, t, f_calls)
-        excess.append(sum(f_calls) - bisections)
+        assert len(work.probes) <= bisections + 2 * projection._GUIDED, (d, s, t, work.probes)
+        excess.append(len(work.probes) - bisections)
     # a guess outside the open bracket is not followed, so Newton cycling on
     # heavy tails costs at most a few probes over two bisections (9 here
     # when such guesses are clamped into the bracket instead)
@@ -517,7 +503,7 @@ def _assert_shift_solves_the_sum(ys, s, t, a, b, gamma):
 
 
 @pytest.mark.parametrize("d", [2**14 + 1, 3 * 2**14 + 5, 100_000])
-def test_block_sums_keep_the_split_of_two_bisections(f_calls, d):
+def test_block_sums_keep_the_split_of_two_bisections(d):
     # past D = 2^14, f adds the sums of whole blocks of 2^14 sorted values
     # to the two fringes of its interior; the split is still the one that
     # two bisections find with f summed from its definition, and its shift
@@ -530,10 +516,10 @@ def test_block_sums_keep_the_split_of_two_bisections(f_calls, d):
             t = 10.0 ** rng.uniform(-2.0, 2.0)
             s = t * (float(rng.integers(d + 1)) if rng.random() < 0.5 else rng.uniform(0.0, d))
             ys = np.sort(y)
-            f_calls[:] = 0, 0
-            a, b, gamma = projection._kink_search(ys, s, t)
+            work = _Work()
+            a, b, gamma = projection._kink_search(ys, s, t, work)
             assert (a, b) == _two_bisections(ys, s, t), (kind, s, t)
-            assert sum(f_calls) <= bisections + 2 * projection._GUIDED, (kind, s, t, f_calls)
+            assert len(work.probes) <= bisections + 2 * projection._GUIDED, (kind, s, t, work.probes)
             if a < b:
                 _assert_shift_solves_the_sum(ys, s, t, a, b, gamma)
             else:
@@ -546,23 +532,52 @@ def _workload(monkeypatch, name, seed):
     return importlib.import_module("workloads").WORKLOADS[name](seed)
 
 
-def test_the_zero_edge_proves_b_at_d_on_topk_sparse(monkeypatch, f_calls):
-    # topk_sparse rows have no coordinate at the cap, b = D, and y spans
-    # less than t: a zero-edge probe that reads f(gamma) > s ranks t - gamma
-    # above every y, which proves b = D, so the cap edge evaluates nothing.
-    # The first 200 rows at seed 421 evaluate f 4.5 times a solve on average
-    wl = _workload(monkeypatch, "topk_sparse", 421)
-    total = 0
-    for i in range(200):
+@pytest.mark.parametrize(
+    "name, n, mean, most",
+    [("topk_sparse", 200, 4.5, 6), ("rows_minibatch", 2000, 3.7, 8), ("dense_cap", 60, 9.4, 12)],
+)
+def test_the_search_evaluates_f_as_often_as_readme_says(monkeypatch, name, n, mean, most):
+    # README's mean and most evaluations of f per solve on the first n
+    # instances at seed 421, dense_cap's summing the sample's search and the
+    # windows'.  topk_sparse rows have no coordinate at the cap, b = D, and
+    # y spans less than t: a zero-edge probe that reads f(gamma) > s ranks
+    # t - gamma above every y, which proves b = D, so the cap edge
+    # evaluates nothing
+    wl = _workload(monkeypatch, name, 421)
+    calls = []
+    for i in range(n):
         inst = wl.instance(i)
-        f_calls[:] = 0, 0
-        res = project_capped_box(ProjectionInput(inst.y, inst.s, inst.t))
-        assert res.partition.b == inst.y.size and f_calls[1] == 0, (i, f_calls)
-        total += f_calls[0]
-    assert total <= 4.6 * 200, total
+        res, work = _solved(ProjectionInput(inst.y, inst.s, inst.t))
+        calls.append(len(work.probes))
+        if name == "topk_sparse":
+            assert res.partition.b == inst.y.size and not any(p[0] for p in work.probes), (i, work.probes)
+    assert round(sum(calls) / n, 1) == mean and max(calls) == most, (sum(calls) / n, max(calls))
+    if name == "topk_sparse":
+        assert sum(calls) <= 4.6 * n, sum(calls)
 
 
-def test_every_bound_on_b_agrees_with_the_cap_test(monkeypatch):
+def _per_search(work):
+    # each kink search's entry in a work record, with the probes it made
+    ends = [first for _, _, first, _ in work.searches[1:]] + [len(work.probes)]
+    return [(entry, work.probes[entry[2] : end]) for entry, end in zip(work.searches, ends)]
+
+
+def _zero_edges(y, s, buf, work):
+    # each zero edge that ended in a solve of y at s (none where the
+    # all-pinned pretest held, or a miss came first): the buffer its search
+    # ran on, its target, wins and bounds on b, and its probes.  The sample's
+    # buffer is y's strided sample sorted, its target s*m/D; every other
+    # search ran on the buffer _search returned, in which (a miss having
+    # sorted it all) each rank a probe trusted still holds its value
+    d = y.size
+    for (size, wins, _, bounds), probes in _per_search(work):
+        ys = buf if size == d else np.sort(y[:: d // projection._SAMPLE])
+        assert ys.size == size
+        if bounds is not None:
+            yield ys, s * size / d, wins, bounds, [p for p in probes if not p[0]]
+
+
+def test_every_bound_on_b_agrees_with_the_cap_test():
     # Each zero-edge probe bounds b (_block_edge).  y on a grid of t/8, or
     # in blocks of equal values on it.  At a cap of 1 or 1/2 every sum is
     # exact and s is f at a grid shift half the time, so some probes read
@@ -575,26 +590,8 @@ def test_every_bound_on_b_agrees_with_the_cap_test(monkeypatch):
     # agrees with the cap test at its kink, evaluated as the cap edge
     # would, and the split is still that of two bisections
     rng = np.random.default_rng(7)
-    block_edge, f = projection._block_edge, projection._f
-    bounds, probes, seen = [], [], {"f == s": 0, "left open": 0, "checked": 0}
-
-    def recorded(ys, sums, s, t, cap, lo, hi, guess, wins, kept):
-        probes.clear()
-        out = block_edge(ys, sums, s, t, cap, lo, hi, guess, wins, kept)
-        if not cap:
-            bounds.append((ys, sums, s, t, wins, out[2]))
-            for gamma, (v, _, j, _) in probes:
-                seen["f == s"] += v == s
-                seen["left open"] += v <= s and j < ys.size and t - ys.item(j) > gamma
-        return out
-
-    def probed(ys, sums, t, gamma, spans=None):
-        out = f(ys, sums, t, gamma, spans)
-        probes.append((gamma, out))
-        return out
-
-    monkeypatch.setattr(projection, "_block_edge", recorded)
-    monkeypatch.setattr(projection, "_f", probed)
+    f = projection._f
+    seen = {"f == s": 0, "left open": 0, "checked": 0}
     sizes, caps = (64, 3000, 2**14 + 1, 100_000), (1.0, 0.5, 0.3, 1 / 3)
     for d, blocks, t in itertools.product(sizes, (False, True), caps):
         for _ in range(8 if d < 2**14 else 3):
@@ -605,17 +602,20 @@ def test_every_bound_on_b_agrees_with_the_cap_test(monkeypatch):
                 s = float(np.clip(y + int(rng.integers(-16, 17)) * (t / 8.0), 0.0, t).sum())
             else:
                 s = t * float(rng.integers(0, 8 * d + 1)) / 8.0
-            bounds.clear()
-            _, (a, b, _) = projection._search(y, s, t)
+            work = _Work()
+            buf, (a, b, _) = projection._search(y, s, t, work)
             ys = np.sort(y)
             sums = projection._block_sums(ys)
             as_searched = None if t in (1.0, 0.5) else lambda g: f(ys, sums, t, g)[0]
             assert (a, b) == _two_bisections(ys, s, t, as_searched), (blocks, t, s)
-            for ys, sums, target, cap, wins, (below, above) in bounds:
+            for ys, target, wins, (below, above), probes in _zero_edges(y, s, buf, work):
+                for _, gamma, v, _, j, _ in probes:
+                    seen["f == s"] += v == target
+                    seen["left open"] += v <= target and j < ys.size and t - ys.item(j) > gamma
                 for k, passes in ((below - 1, False), (above, True)):
                     if 0 <= k < ys.size:
                         try:
-                            v = f(ys, sums, cap, cap - ys.item(k), wins and wins[0])[0]
+                            v = f(ys, projection._block_sums(ys), t, t - ys.item(k), wins and wins[0])[0]
                         except projection._Miss:  # a rank outside the windows
                             continue
                         assert (v <= target) == passes, (blocks, t, s, below, above)
@@ -623,7 +623,7 @@ def test_every_bound_on_b_agrees_with_the_cap_test(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-def test_an_upper_bound_on_b_whose_kink_rounds_above_gamma_is_left_open(monkeypatch):
+def test_an_upper_bound_on_b_whose_kink_rounds_above_gamma_is_left_open():
     # y on a grid of t/3, t/7 or t/8 at caps that round, and s = f at a zero
     # kink, so some probe reads f(gamma) == s while t - gamma rounds down:
     # the kink t - y_j at the rank j of t - gamma then lies above gamma, and
@@ -632,39 +632,22 @@ def test_an_upper_bound_on_b_whose_kink_rounds_above_gamma_is_left_open(monkeypa
     # bound has its kink at or above the shift of a probe with f > s, its
     # upper bound at or below the shift of a probe with f <= s, so each
     # agrees with the cap test wherever f, evaluated in floats, is monotone
-    block_edge, f = projection._block_edge, projection._f
-    bounds, probes = [], []
-
-    def recorded(ys, sums, s, t, cap, *args):
-        out = block_edge(ys, sums, s, t, cap, *args)
-        if not cap:  # the zero edge runs first: every probe so far is its own
-            bounds.append((out[2], list(probes)))
-        return out
-
-    def probed(ys, sums, t, gamma, spans=None):
-        out = f(ys, sums, t, gamma, spans)
-        probes.append((gamma, out[0]))
-        return out
-
-    monkeypatch.setattr(projection, "_block_edge", recorded)
-    monkeypatch.setattr(projection, "_f", probed)
     rng = np.random.default_rng(0)
     checked = 0
     for _ in range(3000):
         d = int(rng.integers(2, 60))
         t = float(rng.choice([0.3, 1 / 3, 0.1, 0.7]))
         ys = np.sort(rng.integers(-16, 17, d) * (t / float(rng.choice([3, 7, 8]))))
-        s = f(ys, None, t, -ys.item(int(rng.integers(d))))[0]
+        s = projection._f(ys, None, t, -ys.item(int(rng.integers(d))))[0]
         if not 0.0 <= s <= t * d:
             continue
-        bounds.clear()
-        probes.clear()
-        projection._kink_search(ys, s, t)
-        for (below, above), zero_probes in bounds:  # none if the all-pinned pretest holds
+        work = _Work()
+        projection._kink_search(ys, s, t, work)
+        for _, _, _, (below, above), probes in _zero_edges(ys, s, ys, work):
             if below:
-                assert any(v > s and t - ys.item(below - 1) >= g for g, v in zero_probes), (t, s)
+                assert any(v > s and t - ys.item(below - 1) >= g for _, g, v, *_ in probes), (t, s)
             if above < d:
-                assert any(v <= s and t - ys.item(above) <= g for g, v in zero_probes), (t, s)
+                assert any(v <= s and t - ys.item(above) <= g for _, g, v, *_ in probes), (t, s)
                 checked += 1
     assert checked > 500, checked
 
@@ -673,20 +656,13 @@ def test_the_shift_reuses_the_interior_sum_of_a_probe(monkeypatch):
     # gamma solves the sum with the interior sum of a probe that summed
     # exactly [a, b), when one did, so no second _sum runs over [a, b); the
     # shift has the bits of one solved from a fresh _sum
-    real_sum, f = projection._sum, projection._f
-    taken, probed = [], []
+    real_sum, taken = projection._sum, []
 
     def summing(ys, sums, lo, hi):
         taken.append((lo, hi))
         return real_sum(ys, sums, lo, hi)
 
-    def probing(*args):
-        out = f(*args)
-        probed.append(out[1:3])
-        return out
-
     monkeypatch.setattr(projection, "_sum", summing)
-    monkeypatch.setattr(projection, "_f", probing)
     rng = np.random.default_rng(5)
     reused = 0
     for d in (64, 4096, 2**14 + 3, 3 * 2**14 + 5):
@@ -695,10 +671,10 @@ def test_the_shift_reuses_the_interior_sum_of_a_probe(monkeypatch):
             t = float(rng.choice([1.0, 0.3]))
             s = float(rng.uniform(0.02, 0.98)) * t * d
             taken.clear()
-            probed.clear()
-            a, b, gamma = projection._kink_search(ys, s, t)
+            work = _Work()
+            a, b, gamma = projection._kink_search(ys, s, t, work)
             assert a < b, (d, s)
-            probes = probed.count((a, b))
+            probes = sum(p[3:5] == (a, b) for p in work.probes)
             assert taken.count((a, b)) == max(probes, 1), (d, s, probes)
             reused += probes > 0
             want = (s - t * (d - b) - real_sum(ys, projection._block_sums(ys), a, b)) / (b - a)
@@ -706,23 +682,16 @@ def test_the_shift_reuses_the_interior_sum_of_a_probe(monkeypatch):
     assert reused >= 40, reused
 
 
-@pytest.fixture
-def searches(monkeypatch):
-    # the wins of every kink search a solve runs: the sample's and the
-    # windows' (both at D > 2^14), then the full sort's after a miss (None)
-    calls = []
-    search = projection._kink_search
-
-    def recorded(ys, s, t, wins=None):
-        calls.append((ys.size, wins))
-        return search(ys, s, t, wins)
-
-    monkeypatch.setattr(projection, "_kink_search", recorded)
-    return calls
+def _searches(work):
+    # the buffer size and wins of every kink search a solve ran: the
+    # sample's and the windows' (both at D > 2^14), then the full sort's
+    # after a miss (None)
+    return [(size, wins) for size, wins, _, _ in work.searches]
 
 
-def _fell_back(calls, d):
+def _fell_back(work, d):
     # whether the solve sorted all of y after its windows missed
+    calls = _searches(work)
     return calls[-1] == (d, None) and any(size == d and wins for size, wins in calls)
 
 
@@ -757,7 +726,7 @@ def _window_cases(rng, d):
 
 
 @pytest.mark.parametrize("d", [2**14 + 1, 3 * 2**14 + 5, 100_000, 2**18])
-def test_windows_keep_the_split_of_two_bisections(searches, d):
+def test_windows_keep_the_split_of_two_bisections(d):
     # past D = 2^14 the search reads only windows of y put in sorted place;
     # its split is the one two bisections find on the whole sort, and its
     # shift solves the sum to within the rounding error of any order of
@@ -770,9 +739,9 @@ def test_windows_keep_the_split_of_two_bisections(searches, d):
     rng = np.random.default_rng(d)
     fell_back, cut = [], 0
     for label, y, s, t in _window_cases(rng, d):
-        ys = np.sort(y)
-        searches.clear()
-        _, (a, b, gamma) = projection._search(y, s, t)
+        ys, work = np.sort(y), _Work()
+        _, (a, b, gamma) = projection._search(y, s, t, work)
+        searches = _searches(work)
         assert (a, b) == _two_bisections(ys, s, t), (label, s, t)
         if a < b:
             _assert_shift_solves_the_sum(ys, s, t, a, b, gamma)
@@ -785,7 +754,7 @@ def test_windows_keep_the_split_of_two_bisections(searches, d):
             assert wins and searches[1][0] == d, label
         if wins and "ties" in label:
             cut += any(0 < lo and ys[lo - 1] == ys[lo] for lo, _ in wins[0])
-        if _fell_back(searches, d):
+        if _fell_back(work, d):
             fell_back.append(label)
         if label == "edges at 0 and D":
             assert (a, b) == (0, d) and wins[1] == ((0, 1), (d - 1, d))
@@ -825,7 +794,7 @@ def test_windows_put_their_spans_in_sorted_place(d):
     rng = np.random.default_rng(d + 1)
     for label, y, s, t in _window_cases(rng, d):
         ys, want = y.copy(), np.sort(y)
-        wins = projection._windows(ys, s, t)
+        wins = projection._windows(ys, s, t, _Work())
         if wins is None:
             assert ys.tobytes() == want.tobytes(), label
             continue
@@ -850,7 +819,7 @@ def _search_in(ys, s, t, zero, cap, *extra):
     # the cap edge's windows, the spans extra and the extremes were in
     # sorted place
     d = ys.size
-    return projection._kink_search(ys, s, t, (((0, 1), zero, cap, *extra, (d - 1, d)), (zero, cap)))
+    return projection._kink_search(ys, s, t, _Work(), (((0, 1), zero, cap, *extra, (d - 1, d)), (zero, cap)))
 
 
 def test_a_window_search_answers_exactly_or_misses():
@@ -863,7 +832,7 @@ def test_a_window_search_answers_exactly_or_misses():
     for y in (rng.uniform(-1.0, 1.0, d), rng.integers(-8, 9, d) / 8.0, rng.standard_cauchy(d)):
         ys = np.sort(y)
         for s in (0.2 * d, 0.45 * d, 0.7 * d):
-            a, b, gamma = _kink_search(ys, s, 1.0)
+            a, b, gamma = _kink_search(ys, s, 1.0, _Work())
             for _ in range(40):
                 lo_a, lo_b = (int(v) for v in rng.integers(-600, 60, 2) + (a, b))
                 hi_a, hi_b = (int(v) for v in rng.integers(-60, 600, 2) + (a, b))
@@ -883,7 +852,7 @@ def _tie_instance():
     # a sorted ys with a group of 40 equal values starting at the zero edge
     ys = np.sort(np.concatenate((np.linspace(-2.0, -1.0, 300), np.full(40, -0.5), np.linspace(0.0, 0.9, 300))))
     s = 300.0
-    a, b, _ = _kink_search(ys, s, 1.0)
+    a, b, _ = _kink_search(ys, s, 1.0, _Work())
     assert (a, ys[a], ys[a + 39], ys[a + 40] > ys[a]) == (300, -0.5, -0.5, True)
     return ys, s, a, b
 
@@ -919,10 +888,10 @@ def test_a_tie_group_cut_by_a_window_end_misses():
 
 
 def _full_sort(monkeypatch, inp):
-    # the answer of the full-sort path: no window is placed
+    # the answer of the full-sort path, and its work record: no window is placed
     with monkeypatch.context() as m:
-        m.setattr(projection, "_windows", lambda ys, s, t: ys.sort())
-        return project_capped_box(inp)
+        m.setattr(projection, "_windows", lambda ys, *args, **kwargs: ys.sort())
+        return _solved(inp)
 
 
 def _assert_same_answer(res, ref):
@@ -932,7 +901,7 @@ def _assert_same_answer(res, ref):
     assert res.x.tobytes() == ref.x.tobytes()
 
 
-def test_a_sample_that_sees_one_phase_falls_back_to_the_full_sort(monkeypatch, searches):
+def test_a_sample_that_sees_one_phase_falls_back_to_the_full_sort(monkeypatch):
     # y repeats with the sample's stride, so the sample holds one phase:
     # values near 0.9, while y spans [-1, 1]; the windows it predicts miss
     d = 2**18
@@ -942,14 +911,14 @@ def test_a_sample_that_sees_one_phase_falls_back_to_the_full_sort(monkeypatch, s
     phases[0] = 0.9
     y = np.tile(phases, d // q) + rng.uniform(0.0, 1e-9, d)
     inp = ProjectionInput(y, 0.4 * d)
-    res = project_capped_box(inp)
-    assert _fell_back(searches, d)
+    res, work = _solved(inp)
+    assert _fell_back(work, d)
     assert 0 < res.partition.a < res.partition.b < d
-    _assert_same_answer(res, _full_sort(monkeypatch, inp))
+    _assert_same_answer(res, _full_sort(monkeypatch, inp)[0])
     assert certify_result(inp, res)[1].passed
 
 
-def test_windows_too_narrow_fall_back_to_the_full_sort(monkeypatch, searches):
+def test_windows_too_narrow_fall_back_to_the_full_sort(monkeypatch):
     # every window shrunk to 4 positions around its middle
     positions = projection._positions
 
@@ -960,32 +929,33 @@ def test_windows_too_narrow_fall_back_to_the_full_sort(monkeypatch, searches):
     d = 100_000
     y = np.random.default_rng(10).uniform(-1.0, 1.0, d)
     inp = ProjectionInput(y, 0.3 * d)
-    monkeypatch.setattr(projection, "_positions", narrow)
-    res = project_capped_box(inp)
-    assert _fell_back(searches, d)
+    with monkeypatch.context() as m:
+        m.setattr(projection, "_positions", narrow)
+        res, work = _solved(inp)
+    assert _fell_back(work, d)
     assert 0 < res.partition.a < res.partition.b < d
-    monkeypatch.setattr(projection, "_positions", positions)
-    searches.clear()
-    ref = _full_sort(monkeypatch, inp)
-    assert not _fell_back(searches, d)
+    ref, work = _full_sort(monkeypatch, inp)
+    assert not _fell_back(work, d)
     _assert_same_answer(res, ref)
 
 
 @pytest.mark.parametrize("d", [2**14 + 1, 100_000])
-def test_a_sample_shift_that_is_not_finite_falls_back_to_the_full_sort(searches, d):
+def test_a_sample_shift_that_is_not_finite_falls_back_to_the_full_sort(d):
     # the sample's sums pass DBL_MAX, so its shift is not finite and no
     # window is placed: the solve sorts all of y and searches it once.  The
     # answer's interior holds a |y_i| >= 2^53 * t, which has no exact double
     # form (README, Domain), so the typed error is raised, with no warning
     y = (np.random.default_rng(d).random(d) - 0.5) * 2 * 1.5e308
+    work = _Work()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InconsistentCandidateError):
-            project_capped_box(ProjectionInput(y, 0.5))
+            projection._solve(ProjectionInput(y, 0.5), work)
+    searches = _searches(work)
     assert len(searches) == 2 and searches[0][0] < d and searches[1] == (d, None), searches
 
 
-def test_a_guess_at_an_end_of_y_is_probed_on_dense_cap(monkeypatch, f_calls):
+def test_a_guess_at_an_end_of_y_is_probed_on_dense_cap(monkeypatch):
     # dense_cap has no zeros, so the zero edge's window starts at the
     # minimum and a Newton guess can pick rank 0, an end of y, where f is
     # exact: the probe goes there instead of bisecting the window.  Each
@@ -993,20 +963,10 @@ def test_a_guess_at_an_end_of_y_is_probed_on_dense_cap(monkeypatch, f_calls):
     # 6 times on the first 60 instances at seed 421 (16 at instance 3 when
     # such a guess was bisected instead)
     wl = _workload(monkeypatch, "dense_cap", 421)
-    search, spent = projection._kink_search, []
-
-    def counted(ys, s, t, wins=None):
-        before = sum(f_calls)
-        out = search(ys, s, t, wins)
-        if ys.size > projection._BLOCK:
-            spent.append(sum(f_calls) - before)
-        return out
-
-    monkeypatch.setattr(projection, "_kink_search", counted)
     for i in range(60):
         inst = wl.instance(i)
-        spent.clear()
-        project_capped_box(ProjectionInput(inst.y, inst.s, inst.t))
+        work = _solved(ProjectionInput(inst.y, inst.s, inst.t))[1]
+        spent = [len(probes) for (size, *_), probes in _per_search(work) if size > projection._BLOCK]
         assert spent and max(spent) <= 6, (i, spent)
 
 
@@ -1077,7 +1037,7 @@ def _mask_product_assembly(y, s, t, p):
     # rounding; gamma starts from the interior summed as the search sums it,
     # over the buffer it searched (y sorted, or past D = 2^14 sorted only in
     # its windows), so only the assembly is compared
-    (ys, _), d, a, b = projection._search(y, s, t), y.size, p.a, p.b
+    (ys, _), d, a, b = projection._search(y, s, t, _Work()), y.size, p.a, p.b
     at_zero = y < ys[a] if 0 < a < d else np.full(d, a == d)
     at_cap = y >= ys[b] if b < d else np.zeros(d, dtype=bool)
     gamma = (s - t * (d - b) - projection._sum(ys, projection._block_sums(ys), a, b)) / (b - a)
@@ -1091,50 +1051,16 @@ def _mask_product_assembly(y, s, t, p):
     return x, gamma
 
 
-@pytest.fixture
-def mask_writes(monkeypatch):
-    # the assembly's mask writes, told apart by the test of the sum that
-    # comes between them: before it, a rounding tie at a block edge writes
-    # the blocks instead of the clip ("tie"); after it, a re-centering writes
-    # them back once it has shifted all of x ("recentering").  "totals" holds
-    # each sum the assembly tested, the sum a re-centering corrects.  Calls
-    # from outside the assembly are not counted.
-    writes = {"tie": 0, "recentering": 0, "totals": []}
-    assemble, sum_rounding, putmask = projection._assemble, projection._sum_rounding, np.putmask
-    step = [None]
-
-    def assembling(*args):
-        step[0] = "tie"
-        try:
-            return assemble(*args)
-        finally:
-            step[0] = None
-
-    def testing_the_sum(d, total):
-        if step[0]:
-            step[0] = "recentering"
-            writes["totals"].append(total)
-        return sum_rounding(d, total)
-
-    def counted(*args):
-        if step[0]:
-            writes[step[0]] += 1
-        return putmask(*args)
-
-    monkeypatch.setattr(projection, "_assemble", assembling)
-    monkeypatch.setattr(projection, "_sum_rounding", testing_the_sum)
-    monkeypatch.setattr(np, "putmask", counted)
-    return writes
-
-
 def _assert_assembly_bits(y, s, t):
-    # an answer with an interior has the reference's bits, and no -0.0
-    res = project_capped_box(ProjectionInput(y, s, t))
+    # an answer with an interior has the reference's bits, and no -0.0;
+    # returns the solve's work record
+    res, work = _solved(ProjectionInput(y, s, t))
     assert not np.signbit(res.x[res.x == 0.0]).any()
     if res.partition.b > res.partition.a:
         x, gamma = _mask_product_assembly(np.asarray(y, dtype=float), s, t, res.partition)
         assert res.x.tobytes() == x.tobytes(), (y, s, t)
         assert np.float64(res.gamma).tobytes() == np.float64(gamma).tobytes(), (y, s, t)
+    return work
 
 
 # at s = 14 * (1/3), the first value at the cap, 0.875 + gamma, rounds to
@@ -1144,37 +1070,38 @@ _TIE_Y = [-0.625, 0.75, -0.375, -0.75, -0.75, -0.75, 0.125, -0.125, 0.875, 0.75,
 _TIE_Y += [0.125, -0.375, 0.125, 0.875, 0.5, -0.25, -0.25, 0.0, 0.625, -0.375]
 
 
-@pytest.mark.parametrize("s, writes", [(14 * (1 / 3), 2), (14 / 3, 0)])
-def test_a_rounding_tie_at_the_cap_writes_the_blocks_by_mask(mask_writes, s, writes):
-    _assert_assembly_bits(_TIE_Y, s, 1 / 3)
-    assert mask_writes["tie"] == writes
+@pytest.mark.parametrize("s, tie", [(14 * (1 / 3), True), (14 / 3, False)])
+def test_a_rounding_tie_at_the_cap_writes_the_blocks_by_mask(s, tie):
+    assert _assert_assembly_bits(_TIE_Y, s, 1 / 3).tie == tie
 
 
-def test_the_clip_gives_the_bits_of_the_mask_product(mask_writes):
+def test_the_clip_gives_the_bits_of_the_mask_product():
     # every block pattern (both blocks, no cap block, no zero block,
     # neither) on plain values, which take the clip; the few that are
     # re-centered write the blocks back by mask, after the clip
     rng = np.random.default_rng(77)
+    works = []
     for t in (1.0, 0.3, 7.3):
         for d in (1, 2, 5, 64, 4096, 2**14 + 3):
             y = rng.uniform(-2.0, 2.0, d) * t
             for s in (0.1 * t, 0.5 * t * d, t * (d - 0.1), float(np.clip(y, 0.0, t).sum())):
-                _assert_assembly_bits(y, s, t)
-    assert mask_writes["tie"] == 0
-    assert mask_writes["recentering"] > 0
+                works.append(_assert_assembly_bits(y, s, t))
+    assert not any(work.tie for work in works)
+    assert any(work.recentred for work in works)
 
 
-def test_the_mask_writes_give_the_bits_of_the_mask_product(mask_writes):
+def test_the_mask_writes_give_the_bits_of_the_mask_product():
     # y and s on a grid of t/8 for caps that are not powers of 2, where an
     # edge value now and then rounds to the wrong side of 0 or the cap
     rng = np.random.default_rng(78)
+    ties = 0
     for i in range(2000):
         t = (1.0, 0.3, 1 / 3, 0.1)[i % 4]
         d = int(rng.integers(1, 40))
         y = rng.integers(-8, 9, d) * t / 8.0
         s = min(t * d, t * float(rng.integers(0, 8 * d + 1)) / 8.0)
-        _assert_assembly_bits(y, s, t)
-    assert mask_writes["tie"] > 0
+        ties += _assert_assembly_bits(y, s, t).tie
+    assert ties > 0
 
 
 @pytest.mark.parametrize(
@@ -1346,20 +1273,15 @@ def test_general_cap_matches_rescaled_oracle(inst):
     assert certify_result(inp, res)[1].passed
 
 
-def _recentered(mask_writes, s, x):
-    # whether the solve that gave x re-centered it, and moved its sum toward
-    # s; the counts start afresh for the next solve
-    totals, writes = mask_writes["totals"], mask_writes["recentering"]
-    assert len(totals) == 1 and writes in (0, 2)
-    if writes:
-        assert abs(s - float(x.sum())) < abs(s - totals[0])
-    totals.clear()
-    mask_writes["recentering"] = 0
-    return bool(writes)
+def _recentered(work, s, x):
+    # whether the solve that filled work and gave x, having tested its sum,
+    # re-centered x; a re-centering moves the sum toward s
+    assert work.total is not None and not (work.recentred and abs(s - float(x.sum())) >= abs(s - work.total))
+    return work.recentred
 
 
 @pytest.mark.parametrize("d", [64, 4096, (1 << 18) + 3, 1_000_000])
-def test_the_interior_is_re_centered_only_past_the_sums_rounding(mask_writes, d):
+def test_the_interior_is_re_centered_only_past_the_sums_rounding(d):
     # a miss of s within the rounding of x.sum() is left as it is, so the
     # exact sum of x is within twice that bound of s; y offset by 1e9 rounds
     # the shift at that scale, a systematic miss that is re-centered
@@ -1368,22 +1290,22 @@ def test_the_interior_is_re_centered_only_past_the_sums_rounding(mask_writes, d)
     skipped = 0
     for u in (0.1, 0.37, 0.5, 0.83):
         inp = ProjectionInput(y, u * d)
-        res = project_capped_box(inp)
+        res, work = _solved(inp)
         total = float(res.x.sum())
         bound = projection._sum_rounding(d, total)
         assert abs(total - math.fsum(res.x)) <= bound
-        if not _recentered(mask_writes, inp.s, res.x):
+        if not _recentered(work, inp.s, res.x):
             skipped += 1
             assert abs(inp.s - total) <= bound
             assert abs(inp.s - math.fsum(res.x)) <= 2.0 * bound
         inp = ProjectionInput(y + 1e9, u * d)
-        res = project_capped_box(inp)
-        assert _recentered(mask_writes, inp.s, res.x)
+        res, work = _solved(inp)
+        assert _recentered(work, inp.s, res.x)
         assert certify_result(inp, res)[1].passed
     assert skipped
 
 
-def test_solve_peak_memory_stays_under_two_arrays(mask_writes):
+def test_solve_peak_memory_stays_under_two_arrays():
     # the sorted copy is the one array of D doubles a solve allocates: x is
     # built in its buffer.  Beside it the solve holds the two masks (D bytes
     # each); the re-centering shifts x in place and writes the blocks back
@@ -1398,9 +1320,9 @@ def test_solve_peak_memory_stays_under_two_arrays(mask_writes):
     d = 1 << 18
     y = np.random.default_rng(0).random(d) * 2.0 - 1.0 + 1e6
     inp = ProjectionInput(y, 0.3 * d)
-    res = project_capped_box(inp)
+    res, work = _solved(inp)
     assert 0 < res.partition.a < res.partition.b < d
-    assert _recentered(mask_writes, inp.s, res.x)
+    assert _recentered(work, inp.s, res.x)
     tracemalloc.start()
     try:
         project_capped_box(inp)
@@ -1411,7 +1333,7 @@ def test_solve_peak_memory_stays_under_two_arrays(mask_writes):
 
 
 @pytest.mark.parametrize("u", [0.0, 1.0])
-def test_an_all_pinned_solve_reads_the_extremes_and_writes_x_in_its_buffer(searches, u):
+def test_an_all_pinned_solve_reads_the_extremes_and_writes_x_in_its_buffer(u):
     # at s = 0 and s = t*D the all-pinned pretest reads no order, so the one
     # search runs with only the extremes in place, and x = 0 or t is
     # written into the copy of y the search made: beside it the solve holds
@@ -1421,11 +1343,11 @@ def test_an_all_pinned_solve_reads_the_extremes_and_writes_x_in_its_buffer(searc
     inp = ProjectionInput(np.random.default_rng(2).uniform(-1.0, 1.0, d), u * t * d, t)
     tracemalloc.start()
     try:
-        res = project_capped_box(inp)
+        res, work = _solved(inp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert searches == [(d, (((0, 1), (d - 1, d)),) * 2)], searches
+    assert _searches(work) == [(d, (((0, 1), (d - 1, d)),) * 2)], work.searches
     assert res.partition == Partition(round((1 - u) * d), round((1 - u) * d))
     assert res.x.tobytes() == np.full(d, u * t).tobytes()
     assert peak < 8 * d + 2 * d + 8 * 8192 + (1 << 14), peak
