@@ -39,6 +39,11 @@ class IterativeResult:
     converged: bool
 
 
+# A y that spans more than DBL_MAX shifts past it to -inf, and a sum of the
+# shifted y can pass it too.  Past the prefix of tests that hold, neither moves
+# the threshold, and the clip reads -inf as a zero, so neither is reported.
+# Each method sets this once per call, not per iteration.
+@np.errstate(over="ignore", invalid="ignore")
 def project_simplex(y, s: float) -> np.ndarray:
     """Euclidean projection onto {x : sum(x) = s, x >= 0}.
 
@@ -52,17 +57,26 @@ def project_simplex(y, s: float) -> np.ndarray:
     y, s = _vector(y), _real(s, "sum target")
     if s < 0.0:
         raise InvalidInputError(f"sum target must be nonnegative, got {s}")
+    return _simplex(y, s)
+
+
+def _simplex(y: np.ndarray, s: float) -> np.ndarray:
+    # project_simplex on a checked y and s >= 0
     if s == 0.0:
         return np.zeros_like(y)
     y = y - y.max()
     u = np.sort(y)[::-1]
     cssv = np.cumsum(u) - s
     ks = np.arange(1, y.size + 1)
-    k = int(np.count_nonzero(u - cssv / ks > 0.0))
+    # the tests hold on a prefix, so k is where they first fail (past a sum
+    # that overflows to -inf, a later one can read true again); the first
+    # reads s > 0 and holds, so an argmin of 0 means that none fails
+    k = int((u - cssv / ks > 0.0).argmin()) or y.size
     tau = cssv[k - 1] / k
     return np.maximum(y - tau, 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as project_simplex
 def dykstra_project(inp: ProjectionInput, config: SolverConfig | None = None) -> IterativeResult:
     """Dykstra's alternating projections onto the simplex and the cap box.
 
@@ -76,11 +90,10 @@ def dykstra_project(inp: ProjectionInput, config: SolverConfig | None = None) ->
     x = y.copy()
     p = np.zeros_like(y)
     q = np.zeros_like(y)
-    converged = False
-    iterations = 0
+    converged, iterations = False, 0
     for iterations in range(1, cfg.max_iters + 1):
         w = x + p
-        u = project_simplex(w, s)
+        u = _simplex(w, s)
         p = w - u
         w = u + q
         v = np.minimum(w, cap)  # the projection onto the box {x <= cap}
@@ -89,12 +102,12 @@ def dykstra_project(inp: ProjectionInput, config: SolverConfig | None = None) ->
         x = v
         # v already satisfies the cap; only the simplex side can be violated
         gap = max(abs(float(v.sum()) - s), max(0.0, float(-v.min())))
-        if change <= cfg.tol and gap <= cfg.tol:
-            converged = True
+        if converged := change <= cfg.tol and gap <= cfg.tol:
             break
     return IterativeResult(x=x, iterations=iterations, converged=converged)
 
 
+@np.errstate(over="ignore")  # y + z past DBL_MAX clips to the cap
 def admm_project(inp: ProjectionInput, config: SolverConfig | None = None) -> IterativeResult:
     """Operator splitting between the box and the sum constraint.
 
@@ -109,8 +122,7 @@ def admm_project(inp: ProjectionInput, config: SolverConfig | None = None) -> It
     z = y.copy()
     u = np.zeros_like(y)
     x = y.copy()
-    converged = False
-    iterations = 0
+    converged, iterations = False, 0
     for iterations in range(1, cfg.max_iters + 1):
         x = np.clip((y + (z - u)) / 2.0, 0.0, cap)
         w = x + u
@@ -119,7 +131,6 @@ def admm_project(inp: ProjectionInput, config: SolverConfig | None = None) -> It
         primal = float(np.max(np.abs(x - z_new)))
         step = float(np.max(np.abs(z_new - z)))
         z = z_new
-        if max(primal, step) <= cfg.tol:
-            converged = True
+        if converged := max(primal, step) <= cfg.tol:
             break
     return IterativeResult(x=x, iterations=iterations, converged=converged)

@@ -5,9 +5,9 @@ input checks of ``ProjectionInput``.  It solves the unit cap alone, so its
 tolerance ``default_eps`` is ``1e-9 * max(1, max|y|)``, the solver's eps at
 ``t = 1``.  It enumerates all 3^D ways to pin each coordinate at 0, leave it
 interior, or pin it at 1, solves the shift gamma from the sum constraint for
-each labeling, and keeps the one whose optimality margins all hold.  Exactly
-one labeling passes (up to ties within tolerance), and its assembled vector
-is the projection.
+each labeling, and keeps the one whose optimality margins and rounded sum
+all hold.  Exactly one labeling passes (up to ties within tolerance), and its
+assembled vector is the projection.
 """
 
 from __future__ import annotations
@@ -91,7 +91,9 @@ def enumerate_oracle(y, s: float) -> np.ndarray:
         viol = np.maximum(zmax + gamma, -(imin + gamma))
         np.maximum(viol, imax + gamma - 1.0, out=viol)
         np.maximum(viol, 1.0 - (omin + gamma), out=viol)
-        np.maximum(viol, 0.0, out=viol)
+        # and the sum's residual, which is >= 0: next to a value far above s,
+        # gamma rounds s away, and every margin of a wrong labeling can hold
+        np.maximum(viol, np.abs(n_one + sum_int + n_int * gamma - s), out=viol)
 
         # with nothing interior the sum is fixed, so it must match exactly,
         # and the pinned groups must admit a common multiplier

@@ -76,8 +76,6 @@ def _whole(v, name: str, low: int) -> int:
     NaN, inf, a bool and a value that is not a real number, such as None or
     4+0j, are refused too.
     """
-    if type(v) is int and v >= low:  # not a bool; skips the costly numbers.Real test
-        return v
     real = isinstance(v, numbers.Real) and not isinstance(v, bool)
     if not (real and v == v and v not in (math.inf, -math.inf) and int(v) == v >= low):
         raise InvalidInputError(f"{name} must be a whole number >= {low}, got {v!r}")

@@ -35,13 +35,9 @@ class TestBenchPlan:
         with pytest.raises(InvalidInputError):
             BenchPlan(sizes=())
         with pytest.raises(InvalidInputError):
-            BenchPlan(sizes=(10,), repetitions=0)
-        with pytest.raises(InvalidInputError):
             BenchPlan(sizes=(10,), methods=())
         with pytest.raises(InvalidInputError):
             BenchPlan(sizes=(10,), methods=("simplex-annealing",))
-        with pytest.raises(InvalidInputError):
-            BenchPlan(sizes=(10,), base_seed=-1)
 
     def test_oracle_capacity_checked_before_any_run(self):
         with pytest.raises(CapacityError):

@@ -1,19 +1,22 @@
-"""The input rules every public entry point shares.
+"""The input rules every public entry point shares, one table per rule.
 
 Three kinds of input come from outside: a count (a dimension, a seed, a
 number of repetitions or iterations), a real scalar (a sum target, a cap, a
 tolerance) and a vector.  Each kind passes one check, and a value outside
 its rule raises ``InvalidInputError``:
 
-- a count is a whole number at least its bound
+- a count is a whole number at least its bound (``_whole``)
 - a real scalar is a finite ``numbers.Real`` other than a bool, or a 0-d
-  array of an integer or a float dtype
-- a vector holds an integer or a float dtype
+  array of an integer or a float dtype (``_real``); a cap or a tolerance is
+  one above 0 (``_positive``)
+- a vector holds an integer or a float dtype (``_reals``); a y to project is
+  a finite one-dimensional vector with D >= 1 (``_vector``)
 
-A ``ProjectionResult`` handed to ``certify_result`` comes from outside too:
-its masks are boolean vectors of length D and its ``gamma`` a real number (a
-NaN or an inf is measured and reported, not refused).  Its partition is read
-from the masks, so no entry point takes one.
+A sum target outside ``[0, t*D]``, where the set is empty, raises
+``InfeasibleError``.  A ``ProjectionResult`` handed to ``certify_result``
+comes from outside too: its masks are boolean vectors of length D and its
+``gamma`` a real number (a NaN or an inf is measured and reported, not
+refused).  Its partition is read from the masks, so no entry point takes one.
 """
 
 import dataclasses
@@ -25,6 +28,7 @@ import pytest
 
 from cappedproj import (
     BenchPlan,
+    InfeasibleError,
     InvalidInputError,
     ProjectionInput,
     SolverConfig,
@@ -79,12 +83,34 @@ COUNTS = {
     "SolverConfig max_iters": lambda: SolverConfig(max_iters=0),
 }
 
-# each vector an entry point reads, as a call on that one vector
-VECTORS = {
+# each cap or tolerance an entry point reads: a finite real number above 0
+POSITIVES = {name: REALS[name] for name in ("ProjectionInput t", "SolverConfig tol", "certify tol")}
+
+NOT_POSITIVE = {"0.0": 0.0, "-0.0": -0.0, "-1.0": -1.0, "-2.0": -2.0}
+
+# each y an entry point projects or sorts, as a call on that one y
+YS = {
     "ProjectionInput y": lambda v: ProjectionInput(v, 0.0),
     "sort_with_permutation y": sort_with_permutation,
     "project_simplex y": lambda v: project_simplex(v, 1.0),
     "enumerate_oracle y": lambda v: enumerate_oracle(v, 0.0),
+}
+
+NOT_ONE_D = {"2-D": np.ones((2, 3)), "empty": np.array([]), "0-D": np.float64(0.5)}
+
+# y . y overflows in the last two, so each entry is tested
+NOT_FINITE = {
+    "nan": [0.0, np.nan],
+    "-inf": [1.0, -np.inf],
+    "+inf": [np.inf, 1.0],
+    "overflow, nan": [1e200, np.nan],
+    "overflow, inf": [1e200, np.inf],
+}
+
+# each vector an entry point reads, as a call on that one vector: a
+# candidate x is measured, so it may hold NaN or inf, but it is real
+VECTORS = {
+    **YS,
     "certify x": lambda v: certify(_inp(), v),
     "certify_result x": lambda v: certify_result(
         _inp(), dataclasses.replace(project_capped_box(_inp()), x=v)
@@ -95,26 +121,45 @@ NOT_VECTORS = {
     "text": ["0.75", "0.25", "1"],
     "bools": [True, False, True],
     "objects": [Fraction(3, 4), 0.25, 1.0],
+    "complex": [0.3 + 5j, -0.2, 1.5],
+    "ragged": [[0.75, 0.25], [1.0]],
 }
 
+# each sum target outside [0, t*D], where the set is empty
+INFEASIBLE = {
+    "ProjectionInput s < 0": lambda: ProjectionInput([0.0, 0.0], -1.0),
+    "ProjectionInput s < 0, int y": lambda: ProjectionInput([0, 0], -1.0),
+    "ProjectionInput s > D": lambda: ProjectionInput([0.0, 0.0], 2.5),
+    "ProjectionInput s > D, int y": lambda: ProjectionInput([0, 0], 2.5),
+    "ProjectionInput s > t*D": lambda: ProjectionInput([0.0, 0.0], 1.2, 0.5),
+    "enumerate_oracle s < 0": lambda: enumerate_oracle(Y, -0.5),
+    "enumerate_oracle s > D": lambda: enumerate_oracle(Y, 3.5),
+}
+
+
+def _table(entries, values, message):
+    # one row per entry point and value: (id, call, error, message)
+    return [
+        (f"{entry} {bad}", lambda e=e, v=v: e(v), InvalidInputError, message)
+        for entry, e in entries.items()
+        for bad, v in values.items()
+    ]
+
+
 CASES = (
-    [
-        (f"{entry} {bad}", lambda e=e, v=v: e(v), "must be a finite real number")
-        for entry, e in REALS.items()
-        for bad, v in NOT_REALS.items()
-    ]
-    + [(entry, call, "whole number") for entry, call in COUNTS.items()]
-    + [
-        (f"{entry} {bad}", lambda e=e, v=v: e(v), "not a real number")
-        for entry, e in VECTORS.items()
-        for bad, v in NOT_VECTORS.items()
-    ]
+    _table(REALS, NOT_REALS, "must be a finite real number")
+    + _table(POSITIVES, NOT_POSITIVE, "must be a positive finite number")
+    + [(entry, call, InvalidInputError, "whole number") for entry, call in COUNTS.items()]
+    + _table(VECTORS, NOT_VECTORS, "not a real number")
+    + _table(YS, NOT_ONE_D, "one-dimensional")
+    + _table(YS, NOT_FINITE, "non-finite")
+    + [(entry, call, InfeasibleError, "is infeasible") for entry, call in INFEASIBLE.items()]
 )
 
 
-@pytest.mark.parametrize("call, message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_every_entry_point_refuses_a_value_outside_its_rule(call, message):
-    with pytest.raises(InvalidInputError, match=message):
+@pytest.mark.parametrize("call, error, message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_every_entry_point_refuses_a_value_outside_its_rule(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 

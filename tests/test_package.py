@@ -90,22 +90,26 @@ def test_inputs_and_results_are_frozen_dataclasses():
         assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, name
 
 
-# The spies on the solver's private names, or on numpy, that the tests keep,
-# as (function, name): each forces a path or pins the cost model.  A count
-# of the solver's work is read from its work record (projection._Work), so
-# that a new parameter on a private function breaks no test that counts.
-SPIES = {
+# The spies on the private names of the solver or of its certificate, or on
+# numpy, that the tests keep, as (function, name), one entry per setattr: each
+# forces a path or pins the cost model.  A count of the solver's work is read
+# from its work record (projection._Work), so that a new parameter on a
+# private function breaks no test that counts.
+SPIES = [
     ("test_wrong_split_raises", "_kink_search"),  # a wrong split
     ("_full_sort", "_windows"),  # the full-sort path
-    ("test_windows_too_narrow_fall_back_to_the_full_sort", "_positions"),  # a miss
     ("test_cut_partitions_first_where_least_is_left_to_partition", "_cut"),  # the cost model's order
     ("test_the_shift_reuses_the_interior_sum_of_a_probe", "_sum"),  # a sum not taken, which no record holds
-}
+    # the certificate's skip of a side that sits on its bound, watched and then forced off
+    ("test_the_on_bound_skip_leaves_every_report_bit", "_on_bound"),
+    ("test_the_on_bound_skip_leaves_every_report_bit", "_on_bound"),
+]
 
 
 def test_no_spy_counts_the_solvers_work():
-    # every setattr on cappedproj.projection or on numpy in the tests, through
-    # monkeypatch, a monkeypatch.context() or setattr, by its function
+    # every setattr on cappedproj.projection, cappedproj.kkt or numpy in the
+    # tests, through monkeypatch, a monkeypatch.context() or setattr, by its
+    # function
     spies = []
     for path in sorted(TESTS.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -116,6 +120,6 @@ def test_no_spy_counts_the_solvers_work():
                         where, _, name = first.value.rpartition(".")
                     else:
                         where, name = ast.unparse(first), getattr(second, "value", None)
-                    if where in ("projection", "cappedproj.projection", "np", "numpy"):
+                    if where.removeprefix("cappedproj.") in ("projection", "kkt", "np", "numpy"):
                         spies.append((getattr(fn, "name", "<module>"), name))
     assert sorted(spies) == sorted(SPIES)

@@ -25,7 +25,6 @@ from cappedproj import (
     enumerate_oracle,
     project_capped_box,
     project_capped_simplex,
-    project_simplex,
     sort_with_permutation,
 )
 from cappedproj import projection
@@ -39,32 +38,6 @@ class TestProjectionInput:
         assert inp.y.dtype == np.float64
         assert inp.y.size == 2
         assert inp.t == 1.0
-
-    def test_rejects_bad_vectors(self):
-        with pytest.raises(InvalidInputError):
-            ProjectionInput(np.array([1.0, np.inf]), 1.0)
-        with pytest.raises(InvalidInputError):
-            ProjectionInput(np.ones((2, 3)), 1.0)
-        with pytest.raises(InvalidInputError):
-            ProjectionInput(np.array([]), 0.0)
-
-    def test_rejects_bad_cap_and_target(self):
-        with pytest.raises(InvalidInputError):
-            ProjectionInput([0.0, 0.0], 1.0, t=0.0)
-        with pytest.raises(InvalidInputError):
-            ProjectionInput([0.0, 0.0], 1.0, t=-2.0)
-        with pytest.raises(InvalidInputError):
-            ProjectionInput([0.0, 0.0], np.nan)
-
-    def test_infeasible_targets(self):
-        # a finite real s passes the scalar rule; s outside [0, t*D] is infeasible
-        for y in ([0.0, 0.0], [0, 0]):
-            with pytest.raises(InfeasibleError):
-                ProjectionInput(y, -1.0)
-        with pytest.raises(InfeasibleError):
-            ProjectionInput([0.0, 0.0], 2.5)
-        with pytest.raises(InfeasibleError):
-            ProjectionInput([0.0, 0.0], 1.2, t=0.5)
 
     def test_is_frozen_and_replace_checks_again(self):
         # an assignment would skip the checks: s = 5 at D = 3 or t = 0 would
@@ -84,33 +57,6 @@ class TestProjectionInput:
         ProjectionInput([0.0, 0.0], 0.0)
         ProjectionInput([0.0, 0.0], 2.0)
         ProjectionInput([0.0, 0.0], 1.0, t=0.5)
-
-
-# every entry point that takes a raw y refuses the same vectors, with the same message
-@pytest.mark.parametrize(
-    "entry",
-    [lambda y: ProjectionInput(y, 0.0), sort_with_permutation, lambda y: project_simplex(y, 1.0)],
-    ids=["ProjectionInput", "sort_with_permutation", "project_simplex"],
-)
-@pytest.mark.parametrize(
-    "y, message",
-    [
-        (np.ones((2, 3)), "one-dimensional"),
-        (np.array([]), "one-dimensional"),
-        (np.float64(0.5), "one-dimensional"),
-        (np.array([0.0, np.nan]), "non-finite"),
-        (np.array([1.0, -np.inf]), "non-finite"),
-        (np.array([np.inf, 1.0]), "non-finite"),
-        (np.array([1e200, np.nan]), "non-finite"),
-        (np.array([1e200, np.inf]), "non-finite"),
-        (np.array([0.3 + 5j, -0.2, 1.5]), "complex"),
-        (["a", 1.0], "not a real number"),
-    ],
-    ids=["2-D", "empty", "0-D", "nan", "inf", "+inf", "overflow, nan", "overflow, inf", "complex", "string"],
-)
-def test_every_entry_point_refuses_a_bad_vector(entry, y, message):
-    with pytest.raises(InvalidInputError, match=message):
-        entry(y)
 
 
 @pytest.mark.parametrize("d", [2, 4096, (1 << 18) + 3])
@@ -158,12 +104,8 @@ class TestSortWithPermutation:
         _, perm = sort_with_permutation(np.array([1.0, 0.0, 1.0, 0.0]))
         npt.assert_array_equal(perm, [1, 3, 0, 2])
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            sort_with_permutation(np.array([0.0, np.nan]))
 
-
-class TestGammaForPartition:
+class TestKinkSearchShift:
     # the kink search returns each split with the shift that solves its sum
     def test_three_point_shift(self):
         ys = np.sort(np.array([-0.2, 0.3, 1.5]))
@@ -265,27 +207,6 @@ class TestProjectCappedSimplex:
         y = np.array([1.5, 0.3, -0.2])
         res = project_capped_simplex(ProjectionInput(y, 2.0))
         npt.assert_array_equal(res.x, [1.0, 0.75, 0.25])
-
-    def test_matches_oracle_on_random_instances(self):
-        rng = np.random.default_rng(3)
-        for _ in range(400):
-            d = int(rng.integers(1, 9))
-            y = rng.normal(size=d) * float(rng.choice([0.1, 1.0, 10.0]))
-            s = float(rng.uniform(0.0, d))
-            res = project_capped_simplex(ProjectionInput(y, s))
-            ref = enumerate_oracle(y, s)
-            assert np.max(np.abs(res.x - ref)) <= 1e-9, (y, s)
-            assert not res.fallback
-
-    def test_integer_targets_against_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            d = int(rng.integers(1, 9))
-            y = rng.uniform(-0.5, 0.5, size=d)
-            s = float(rng.integers(0, d + 1))
-            res = project_capped_simplex(ProjectionInput(y, s))
-            ref = enumerate_oracle(y, s)
-            assert np.max(np.abs(res.x - ref)) <= 1e-9
 
     def test_sum_constraint_tight_at_scale(self):
         inp = ProjectionInput(np.random.default_rng(5).uniform(-0.5, 0.5, 50_000), 21_111.0)
@@ -901,42 +822,21 @@ def _assert_same_answer(res, ref):
     assert res.x.tobytes() == ref.x.tobytes()
 
 
-def test_a_sample_that_sees_one_phase_falls_back_to_the_full_sort(monkeypatch):
+@pytest.mark.parametrize("d, u", [(2**18, 0.4), (100_000, 0.5)])
+def test_a_sample_that_sees_one_phase_falls_back_to_the_full_sort(monkeypatch, d, u):
     # y repeats with the sample's stride, so the sample holds one phase:
     # values near 0.9, while y spans [-1, 1]; the windows it predicts miss
-    d = 2**18
     q = d // projection._SAMPLE
     rng = np.random.default_rng(9)
     phases = rng.uniform(-1.0, 1.0, q)
     phases[0] = 0.9
-    y = np.tile(phases, d // q) + rng.uniform(0.0, 1e-9, d)
-    inp = ProjectionInput(y, 0.4 * d)
+    y = np.resize(phases, d) + rng.uniform(0.0, 1e-9, d)
+    inp = ProjectionInput(y, u * d)
     res, work = _solved(inp)
     assert _fell_back(work, d)
     assert 0 < res.partition.a < res.partition.b < d
     _assert_same_answer(res, _full_sort(monkeypatch, inp)[0])
     assert certify_result(inp, res)[1].passed
-
-
-def test_windows_too_narrow_fall_back_to_the_full_sort(monkeypatch):
-    # every window shrunk to 4 positions around its middle
-    positions = projection._positions
-
-    def narrow(*args):
-        lo, hi = positions(*args)
-        return (lo + hi) // 2 - 2, (lo + hi) // 2 + 2
-
-    d = 100_000
-    y = np.random.default_rng(10).uniform(-1.0, 1.0, d)
-    inp = ProjectionInput(y, 0.3 * d)
-    with monkeypatch.context() as m:
-        m.setattr(projection, "_positions", narrow)
-        res, work = _solved(inp)
-    assert _fell_back(work, d)
-    assert 0 < res.partition.a < res.partition.b < d
-    ref, work = _full_sort(monkeypatch, inp)
-    assert not _fell_back(work, d)
-    _assert_same_answer(res, ref)
 
 
 @pytest.mark.parametrize("d", [2**14 + 1, 100_000])

@@ -29,11 +29,17 @@ def _random_case(rng, max_d=50):
 
 
 class TestAgainstOracle:
-    def test_small_dimension_sweep(self):
-        rng = np.random.default_rng(100)
-        for _ in range(500):
+    @pytest.mark.parametrize(
+        "seed, scales, count",
+        [(100, [0.2, 1.0, 5.0], 500), (3, [0.1, 1.0, 10.0], 400)],
+        ids=["seed 100", "seed 3"],
+    )
+    def test_small_dimension_sweep(self, seed, scales, count):
+        # normal y at D <= 8 and a real s; criterion 1 sweeps uniform y
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
             d = int(rng.integers(1, 9))
-            y = rng.normal(size=d) * float(rng.choice([0.2, 1.0, 5.0]))
+            y = rng.normal(size=d) * float(rng.choice(scales))
             s = float(rng.uniform(0.0, d))
             x = project_capped_simplex(ProjectionInput(y, s)).x
             ref = enumerate_oracle(y, s)
